@@ -6,12 +6,10 @@
 // paper-scale sweeps; the default is a quick mode suitable for CI.
 //
 // Parallel sweeps: parameter points in a figure sweep are independent
-// simulations, so `parallel_for_index` shards them across host cores via
-// the shared sim::WorkerPool (the same pool class that drives the
-// ShardedEngine's stage/commit phases) with dynamic index claiming.  Each
-// point runs with the same seed it would get serially and results land in
-// an order-preserving array, so output is bit-identical to a `--threads=1`
-// run.
+// simulations, so `parallel_for_index` spreads them across host cores via
+// sim::WorkerPool with dynamic index claiming.  Each point runs with the
+// same seed it would get serially and results land in an order-preserving
+// array, so output is bit-identical to a `--threads=1` run.
 //
 // Machine-readable output: pass --json=PATH to binaries that support it to
 // get a JSON record of the run (see docs/PERFORMANCE.md for the schema and

@@ -12,23 +12,14 @@
 // (--json=PATH, default BENCH_engine.json) with events/sec and sampled
 // p50/p99 schedule_at/cancel latencies for both engines.  See
 // docs/PERFORMANCE.md for the schema.
-//
-// Second cell: sharded-engine scaling.  A 4096-CPU machine config (4096
-// per-CPU domains + the global domain, lookahead = the phi spec's IPI
-// latency) runs per-domain self-rescheduling timer chains under the
-// parallel-commit sim::ShardedEngine at host threads {1,2,4,8}; events/sec
-// per thread count goes to BENCH_engine_scaling.json, and run_perf.sh gates
-// on >= 2x at 8 threads over 1 on hosts with >= 8 cores.
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <vector>
 
 #include "common.hpp"
 #include "sim/engine.hpp"
 #include "sim/legacy_engine.hpp"
 #include "sim/rng.hpp"
-#include "sim/sharded_engine.hpp"
 #include "sim/stats.hpp"
 
 namespace {
@@ -136,91 +127,6 @@ void print_result(const char* name, const EngineResult& r) {
               r.sched_p99_ns, r.cancel_p50_ns, r.cancel_p99_ns);
 }
 
-// ---- Sharded-engine scaling cell ----------------------------------------
-
-struct ScaleCell {
-  unsigned threads = 0;
-  double wall_s = 0;
-  std::uint64_t executed = 0;
-  std::uint64_t windows = 0;
-  double events_per_sec = 0;
-  std::uint64_t checksum = 0;  // must match across thread counts
-};
-
-/// Shard-confined workload on a 4096-CPU machine shape: every domain runs a
-/// self-rescheduling APIC-tick chain with a small deterministic compute
-/// kernel, and occasionally kicks its neighbor with an IPI-latency-delayed
-/// cross-domain post.  The checksum folds every domain's event history, so
-/// equal checksums mean the run was bit-identical.
-ScaleCell run_scaling_cell(unsigned threads, std::uint32_t domains,
-                           Nanos lookahead, Nanos horizon) {
-  using hrt::sim::ShardedEngine;
-  ShardedEngine::Config cfg;
-  cfg.shards = threads;
-  cfg.domains = domains;
-  cfg.lookahead = lookahead;
-  cfg.commit = ShardedEngine::CommitMode::kParallel;
-  ShardedEngine eng(cfg);
-
-  struct alignas(64) DomainState {
-    std::uint64_t x = 0;    // xorshift state
-    std::uint64_t sum = 0;  // event-history accumulator
-  };
-  std::vector<DomainState> state(domains);
-  for (std::uint32_t d = 0; d < domains; ++d) {
-    state[d].x = 0x9e3779b97f4a7c15ull * (d + 1) | 1ull;
-  }
-
-  std::function<void(std::uint32_t, Nanos)> arm = [&](std::uint32_t d,
-                                                      Nanos when) {
-    eng.schedule_at(d, when, [&, d] {
-      DomainState& st = state[d];
-      std::uint64_t x = st.x;
-      for (int i = 0; i < 32; ++i) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-      }
-      st.x = x;
-      st.sum += x;
-      const Nanos now = eng.engine_for(d).now();
-      arm(d, now + 1000 + 37 * static_cast<Nanos>(d % 64));
-      if ((x & 15u) == 0) {
-        const std::uint32_t dst = (d + 1) % domains;
-        eng.post(d, dst, now + lookahead,
-                 [&state, dst] { state[dst].sum += 0x2545f4914f6cdd1dull; });
-      }
-    });
-  };
-  for (std::uint32_t d = 0; d < domains; ++d) {
-    arm(d, 100 + 13 * static_cast<Nanos>(d % 997));
-  }
-
-  ScaleCell c;
-  c.threads = threads;
-  bench::Stopwatch wall;
-  eng.run_until(horizon);
-  c.wall_s = wall.seconds();
-  c.executed = eng.events_executed();
-  c.windows = eng.windows_run();
-  c.events_per_sec = static_cast<double>(c.executed) / c.wall_s;
-  for (const DomainState& st : state) {
-    c.checksum = c.checksum * 1099511628211ull + st.sum;
-  }
-  return c;
-}
-
-std::string cell_json(const ScaleCell& c) {
-  bench::JsonObject j;
-  j.field("threads", static_cast<std::uint64_t>(c.threads));
-  j.field("wall_s", c.wall_s);
-  j.field("executed", c.executed);
-  j.field("windows", c.windows);
-  j.field("events_per_sec", c.events_per_sec);
-  j.field("checksum", std::to_string(c.checksum));
-  return j.str();
-}
-
 std::string result_json(const EngineResult& r) {
   bench::JsonObject j;
   j.field("wall_s", r.wall_s);
@@ -277,69 +183,5 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s\n", args.json.c_str());
-
-  // ---- Sharded-engine scaling cell (BENCH_engine_scaling.json) ----------
-  const hrt::hw::MachineSpec spec = hrt::hw::MachineSpec::phi();
-  const std::uint32_t domains = 4096 + 1;  // 4096 CPUs + global domain
-  const Nanos lookahead = spec.timer.ipi_latency_ns;
-  const Nanos horizon = args.full ? hrt::sim::millis(2) : hrt::sim::micros(400);
-
-  std::printf("\nsharded-engine scaling: %u domains, lookahead %lld ns, "
-              "horizon %lld ns (host has %u cores)\n",
-              domains, (long long)lookahead, (long long)horizon,
-              std::thread::hardware_concurrency());
-
-  // Warm-up (pool threads, allocators), then the measured sweep.
-  (void)run_scaling_cell(2, domains, lookahead, horizon / 8);
-
-  std::vector<ScaleCell> cells;
-  std::printf("%8s %10s %12s %10s %10s\n", "threads", "wall (s)", "events/s",
-              "windows", "vs 1thr");
-  for (const unsigned t : {1u, 2u, 4u, 8u}) {
-    cells.push_back(run_scaling_cell(t, domains, lookahead, horizon));
-    const ScaleCell& c = cells.back();
-    std::printf("%8u %10.3f %12.0f %10llu %9.2fx\n", c.threads, c.wall_s,
-                c.events_per_sec, (unsigned long long)c.windows,
-                c.events_per_sec / cells.front().events_per_sec);
-    std::fflush(stdout);
-  }
-
-  bool deterministic = true;
-  for (const ScaleCell& c : cells) {
-    deterministic = deterministic && c.checksum == cells.front().checksum &&
-                    c.executed == cells.front().executed;
-  }
-  const double scale8 =
-      cells.back().events_per_sec / cells.front().events_per_sec;
-  bench::shape_check("scaling runs bit-identical across thread counts",
-                     deterministic);
-  if (std::thread::hardware_concurrency() >= 8) {
-    bench::shape_check("sharded engine >= 2x events/sec at 8 threads",
-                       scale8 >= 2.0);
-  } else {
-    std::printf("[shape SKIP] host has < 8 cores; 8-thread speedup %.2fx "
-                "not gated\n", scale8);
-  }
-
-  bench::JsonObject js;
-  js.field("benchmark", std::string("micro_engine_scaling"));
-  js.field("mode", std::string(args.full ? "full" : "quick"));
-  js.field("domains", static_cast<std::uint64_t>(domains));
-  js.field("lookahead_ns", static_cast<std::uint64_t>(lookahead));
-  js.field("horizon_ns", static_cast<std::uint64_t>(horizon));
-  std::string arr = "[";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) arr += ", ";
-    arr += cell_json(cells[i]);
-  }
-  arr += "]";
-  js.raw("cells", arr);
-  js.field("deterministic", static_cast<std::uint64_t>(deterministic ? 1 : 0));
-  js.field("speedup_8_vs_1", scale8);
-  if (!js.write_file("BENCH_engine_scaling.json")) {
-    std::fprintf(stderr, "warning: cannot write BENCH_engine_scaling.json\n");
-    return 1;
-  }
-  std::printf("wrote BENCH_engine_scaling.json\n");
-  return deterministic ? 0 : 1;
+  return 0;
 }

@@ -6,12 +6,6 @@
 # Produces in the current directory:
 #   BENCH_engine.json    — micro_engine: timer-wheel vs legacy engine
 #                          (events/sec, p50/p99 schedule/cancel latency)
-#   BENCH_engine_scaling.json — micro_engine: sharded parallel-commit engine,
-#                          events/sec vs host threads {1,2,4,8} on a 4096-CPU
-#                          config; this script fails if the run is not
-#                          bit-identical across thread counts, or (on hosts
-#                          with >= 8 cores) if 8 threads deliver < 2x the
-#                          1-thread events/sec
 #   BENCH_placement.json — ablate_placement: pure partitioning policies vs
 #                          semi-partitioned overflow (admitted utilization,
 #                          zero-miss executions, replay-oracle verdict)
@@ -61,27 +55,8 @@ HRT_GIT_SHA=$(git -C "$(dirname "$0")" rev-parse HEAD 2>/dev/null || echo unknow
 export HRT_GIT_SHA
 HOST_CORES=$(nproc 2>/dev/null || echo 1)
 
-echo "== micro_engine -> BENCH_engine.json + BENCH_engine_scaling.json"
+echo "== micro_engine -> BENCH_engine.json"
 "$BIN/micro_engine" $MODE_FLAG --json=BENCH_engine.json
-# Hard gates on the scaling cell: bit-identical runs always; >= 2x events/sec
-# at 8 threads over 1 thread when the host actually has 8 cores.
-awk -v cores="$HOST_CORES" '
-  match($0, /"deterministic": [0-9]+/) {
-    det = substr($0, RSTART + 17, RLENGTH - 17) + 0
-    if (det != 1) {
-      print "error: sharded scaling run not bit-identical across thread counts"
-      exit 1
-    }
-  }
-  match($0, /"speedup_8_vs_1": [0-9.eE+-]+/) {
-    s = substr($0, RSTART + 18, RLENGTH - 18) + 0
-    if (cores + 0 >= 8 && s < 2.0) {
-      printf "error: sharded engine speedup %.2fx at 8 threads < 2x\n", s
-      exit 1
-    }
-    printf "sharded engine scaling: %.2fx events/sec at 8 threads (host cores %d)\n", s, cores
-  }
-' BENCH_engine_scaling.json
 
 echo "== ablate_placement -> BENCH_placement.json"
 "$BIN/ablate_placement" $MODE_FLAG --json=BENCH_placement.json
@@ -184,4 +159,4 @@ echo "== figure sweep -> BENCH_figures.json ($MODE mode)"
     "$HOST_CORES" "$HRT_GIT_SHA"
 } > BENCH_figures.json
 
-echo "wrote BENCH_engine.json BENCH_engine_scaling.json BENCH_placement.json BENCH_smi_resilience.json BENCH_telemetry.json BENCH_spawn.json BENCH_cluster.json BENCH_figures.json"
+echo "wrote BENCH_engine.json BENCH_placement.json BENCH_smi_resilience.json BENCH_telemetry.json BENCH_spawn.json BENCH_cluster.json BENCH_figures.json"

@@ -4,8 +4,8 @@ namespace hrt::sim {
 
 namespace {
 // Spin budget before a waiter parks on its condition variable.  Large
-// enough to cover the inter-window gap of a busy ShardedEngine run, small
-// enough that an idle pool costs microseconds, not milliseconds.
+// enough to cover the gap between back-to-back dispatches, small enough
+// that an idle pool costs microseconds, not milliseconds.
 constexpr int kSpinIters = 4000;
 }  // namespace
 
@@ -13,7 +13,7 @@ WorkerPool::WorkerPool(unsigned threads) {
   if (threads > 1) {
     workers_.reserve(threads - 1);
     for (unsigned w = 0; w < threads - 1; ++w) {
-      workers_.emplace_back([this, w] { worker_main(w); });
+      workers_.emplace_back([this] { worker_main(); });
     }
   }
 }
@@ -32,25 +32,20 @@ void WorkerPool::record_exception() {
   if (!first_error_) first_error_ = std::current_exception();
 }
 
-void WorkerPool::run_share(unsigned self) {
+void WorkerPool::run_share() {
   const auto& fn = *fn_;
   try {
-    if (dynamic_) {
-      for (;;) {
-        const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n_) break;
-        fn(i);
-      }
-    } else {
-      const std::size_t stride = workers_.size() + 1;
-      for (std::size_t i = self; i < n_; i += stride) fn(i);
+    for (;;) {
+      const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n_) break;
+      fn(i);
     }
   } catch (...) {
     record_exception();
   }
 }
 
-void WorkerPool::worker_main(unsigned self) {
+void WorkerPool::worker_main() {
   std::uint64_t seen = 0;
   for (;;) {
     // Spin first; park on the cv only if no work shows up promptly.
@@ -71,7 +66,7 @@ void WorkerPool::worker_main(unsigned self) {
     }
     if (stop_.load(std::memory_order_acquire)) return;
     seen = epoch_.load(std::memory_order_acquire);
-    run_share(self);
+    run_share();
     if (active_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       // Last one out: wake the caller (lock guards against a missed wakeup
       // between the caller's predicate check and its wait).
@@ -81,9 +76,8 @@ void WorkerPool::worker_main(unsigned self) {
   }
 }
 
-void WorkerPool::dispatch(std::size_t n,
-                          const std::function<void(std::size_t)>& fn,
-                          bool dynamic) {
+void WorkerPool::parallel_for(std::size_t n,
+                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   {
     std::lock_guard<std::mutex> lock(err_mu_);
@@ -99,7 +93,6 @@ void WorkerPool::dispatch(std::size_t n,
   } else {
     fn_ = &fn;
     n_ = n;
-    dynamic_ = dynamic;
     next_.store(0, std::memory_order_relaxed);
     active_.store(static_cast<unsigned>(workers_.size()),
                   std::memory_order_relaxed);
@@ -108,8 +101,8 @@ void WorkerPool::dispatch(std::size_t n,
       epoch_.fetch_add(1, std::memory_order_release);
     }
     cv_.notify_all();
-    // The caller is the last stripe / another dynamic claimant.
-    run_share(static_cast<unsigned>(workers_.size()));
+    // The caller claims indices alongside the workers.
+    run_share();
     // Spin-then-park until every worker has checked out.
     bool done = false;
     for (int i = 0; i < kSpinIters; ++i) {
@@ -132,16 +125,6 @@ void WorkerPool::dispatch(std::size_t n,
     first_error_ = nullptr;
   }
   if (err) std::rethrow_exception(err);
-}
-
-void WorkerPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  dispatch(n, fn, /*dynamic=*/true);
-}
-
-void WorkerPool::for_stripes(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  dispatch(n, fn, /*dynamic=*/false);
 }
 
 }  // namespace hrt::sim

@@ -1,22 +1,12 @@
-// Persistent host-thread worker pool shared by everything in the repo that
-// wants host parallelism: the ShardedEngine's stage/commit phases and the
-// bench sweeps' cell fan-out (bench::parallel_for_index).  One pool, one
-// --threads knob.
+// Persistent host-thread worker pool behind the bench sweeps' cell fan-out
+// (bench::parallel_for_index): one pool, one --threads knob.
 //
 // Dispatch is a phase barrier: the caller publishes a job, wakes the
 // workers, participates in the job itself, then waits for the last worker
 // to check out.  Workers spin briefly before falling back to a condition
-// variable, so back-to-back dispatches (the ShardedEngine issues one per
-// lookahead window) avoid futex round-trips while long idle gaps cost no
-// CPU.
-//
-// Two sharing disciplines:
-//   * parallel_for  — dynamic: indices are claimed from a shared atomic
-//     counter; best when per-index cost varies (bench sweep cells).
-//   * for_stripes   — static: worker w takes indices w, w+P, w+2P, ...;
-//     deterministic index→thread assignment with zero claim contention,
-//     which is what the ShardedEngine wants (shard s always staged/committed
-//     by the same thread, so shard state never migrates between caches).
+// variable, so back-to-back dispatches avoid futex round-trips while long
+// idle gaps cost no CPU.  Indices are claimed from a shared atomic counter,
+// which balances cells whose cost varies.
 //
 // Exceptions thrown by the body are captured and the first one is rethrown
 // on the calling thread after the barrier.
@@ -49,21 +39,15 @@ class WorkerPool {
   /// Run fn(i) for i in [0, n) with dynamic index claiming.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Run fn(i) for i in [0, n) with static striping (worker w → i ≡ w mod P).
-  void for_stripes(std::size_t n, const std::function<void(std::size_t)>& fn);
-
  private:
-  void dispatch(std::size_t n, const std::function<void(std::size_t)>& fn,
-                bool dynamic);
-  void run_share(unsigned self);
-  void worker_main(unsigned self);
+  void run_share();
+  void worker_main();
   void record_exception();
 
   // Job slot: written by the caller before the epoch bump, read by workers
   // after observing the bump (release/acquire pairs make this race-free).
   const std::function<void(std::size_t)>* fn_ = nullptr;
   std::size_t n_ = 0;
-  bool dynamic_ = false;
   std::atomic<std::size_t> next_{0};
 
   std::atomic<std::uint64_t> epoch_{0};

@@ -1,7 +1,9 @@
 // Unit tests for the simulation core: time conversion, event engine,
-// deterministic RNG, statistics, histogram, scope analyzer.
+// deterministic RNG, statistics, histogram, scope analyzer, host worker pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -10,6 +12,7 @@
 #include "sim/scope.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
+#include "sim/worker_pool.hpp"
 
 namespace hrt::sim {
 namespace {
@@ -333,6 +336,40 @@ TEST(Scope, FuzzDetectedAsWidthSpread) {
   }
   EXPECT_LT(sharp.pulse_width_stats().stddev(), 0.001);
   EXPECT_GT(fuzzy.pulse_width_stats().stddev(), 3.0);
+}
+
+// ---------- WorkerPool ----------
+
+TEST(WorkerPool, DynamicCoversEveryIndexExactlyOnce) {
+  WorkerPool pool(4);
+  EXPECT_EQ(pool.threads(), 4u);
+  std::vector<std::atomic<int>> hits(1000);
+  pool.parallel_for(hits.size(), [&](std::size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(WorkerPool, SingleThreadRunsInline) {
+  WorkerPool pool(1);
+  EXPECT_EQ(pool.threads(), 1u);
+  int sum = 0;
+  pool.parallel_for(10, [&](std::size_t i) { sum += static_cast<int>(i); });
+  EXPECT_EQ(sum, 45);
+}
+
+TEST(WorkerPool, ExceptionPropagatesAndPoolStaysUsable) {
+  WorkerPool pool(4);
+  EXPECT_THROW(pool.parallel_for(100,
+                                 [&](std::size_t i) {
+                                   if (i == 37) {
+                                     throw std::runtime_error("boom");
+                                   }
+                                 }),
+               std::runtime_error);
+  std::atomic<int> n{0};
+  pool.parallel_for(100, [&](std::size_t) { ++n; });
+  EXPECT_EQ(n.load(), 100);
 }
 
 }  // namespace
