@@ -103,14 +103,20 @@ TEST(TelemetryRing, ConcurrentWriterReaderNoTornRecords) {
   // record is internally consistent (arg == time) and in order.
   telemetry::SpscRing ring(256);
   constexpr std::int64_t kN = 200000;
+  std::atomic<bool> started{false};
   std::atomic<bool> done{false};
   std::thread writer([&] {
+    started.store(true, std::memory_order_release);
     for (std::int64_t i = 0; i < kN; ++i) ring.push(rec_at(i, i));
     done.store(true, std::memory_order_release);
   });
+  // Snapshot at least once after the writer is running: a fast writer may
+  // otherwise finish all kN pushes before the reader's first check.
+  while (!started.load(std::memory_order_acquire)) {
+  }
   std::uint64_t total_torn = 0;
   std::uint64_t snapshots = 0;
-  while (!done.load(std::memory_order_acquire)) {
+  do {
     std::uint64_t torn = 0;
     const auto snap = ring.snapshot(&torn);
     total_torn += torn;
@@ -121,7 +127,7 @@ TEST(TelemetryRing, ConcurrentWriterReaderNoTornRecords) {
       ASSERT_GT(r.time, prev) << "snapshot out of order";
       prev = r.time;
     }
-  }
+  } while (!done.load(std::memory_order_acquire));
   writer.join();
   EXPECT_EQ(ring.written(), static_cast<std::uint64_t>(kN));
   EXPECT_GT(snapshots, 0u);
