@@ -19,6 +19,11 @@
 // the Chrome exporter, parsed back with the bundled parser, and the switch
 // stream is required to match the machine trace record-for-record.
 //
+// Phase C checks that telemetry-off costs nothing at construction: a
+// default (telemetry-off) 256-CPU Phi System must carry a flight recorder
+// with zero rings.  The ring count is host-independent and bench/run_perf.sh
+// gates it; the construction time rides along for the record.
+//
 // Output: human-readable tables plus a JSON record (--json=PATH, default
 // BENCH_telemetry.json); see docs/PERFORMANCE.md for the schema.
 #include <cstdio>
@@ -189,6 +194,26 @@ ChromeResult run_chrome(std::uint64_t seed, sim::Nanos horizon) {
   return r;
 }
 
+// ---- Phase C: a telemetry-off Phi System allocates no recorder rings ----
+
+struct OffCtorResult {
+  double ctor_ms = 0.0;  // best of kReps constructions
+  std::uint32_t recorder_rings = 0;
+};
+
+OffCtorResult run_off_ctor() {
+  constexpr int kReps = 3;
+  OffCtorResult r;
+  for (int rep = 0; rep < kReps; ++rep) {
+    bench::Stopwatch sw;
+    System sys;  // MachineSpec::phi(), telemetry off
+    const double ms = sw.seconds() * 1e3;
+    if (rep == 0 || ms < r.ctor_ms) r.ctor_ms = ms;
+    r.recorder_rings = sys.telemetry().recorder().num_cpus();
+  }
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -306,6 +331,14 @@ int main(int argc, char** argv) {
   bench::shape_check("machine trace validates against the EDF replay oracle",
                      ch.replay_ok && ch.replay_divergences == 0);
 
+  // ---- Phase C ----
+  const OffCtorResult off_ctor = run_off_ctor();
+  std::printf("\ntelemetry-off Phi System: %u recorder rings, constructed in "
+              "%.3f ms\n",
+              off_ctor.recorder_rings, off_ctor.ctor_ms);
+  bench::shape_check("telemetry-off Phi System allocates no recorder rings",
+                     off_ctor.recorder_rings == 0);
+
   std::printf("total wall %.2fs\n", wall.seconds());
 
   // ---- JSON record (schema: docs/PERFORMANCE.md) ----
@@ -356,6 +389,9 @@ int main(int argc, char** argv) {
     cj.field("ring_export_events", ch.ring_export_events);
     j.raw("chrome", cj.str());
   }
+  j.field("off_ctor_ms", off_ctor.ctor_ms);
+  j.field("off_recorder_rings",
+          static_cast<std::uint64_t>(off_ctor.recorder_rings));
   if (!j.write_file(args.json)) {
     std::fprintf(stderr, "warning: cannot write %s\n", args.json.c_str());
     return 1;

@@ -16,6 +16,8 @@
 #                          (zero added misses with telemetry on) + record
 #                          cost vs pass span; this script fails if the
 #                          overhead fraction reaches 2% (docs/OBSERVABILITY.md)
+#                          or if a telemetry-off Phi System builds any
+#                          recorder ring
 #   BENCH_spawn.json     — ablate_spawn: batched spawn + lock-free admission
 #                          fast path; this script fails if batch throughput
 #                          is < 5x the serial-slow cell at 1024 specs, or if
@@ -76,6 +78,25 @@ awk '
       exit 1
     }
     printf "telemetry overhead %.4f of mean pass span (< 0.02)\n", frac
+  }
+' BENCH_telemetry.json
+# Hard gate, host-independent: a telemetry-off Phi System must build no
+# flight-recorder rings (docs/OBSERVABILITY.md).  A missing field fails too.
+awk '
+  match($0, /"off_recorder_rings": [0-9]+/) {
+    found = 1
+    n = substr($0, RSTART + 22, RLENGTH - 22) + 0
+  }
+  END {
+    if (!found) {
+      print "error: off_recorder_rings missing from BENCH_telemetry.json"
+      exit 1
+    }
+    if (n != 0) {
+      printf "error: telemetry-off Phi System built %d recorder rings (must be 0)\n", n
+      exit 1
+    }
+    print "telemetry-off Phi System builds no recorder rings"
   }
 ' BENCH_telemetry.json
 

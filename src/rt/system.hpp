@@ -52,8 +52,9 @@ class System {
     resilience::Config resilience{};
     /// Telemetry flight recorder + metrics + SLO observability
     /// (src/telemetry/, docs/OBSERVABILITY.md).  Off by default: the kernel
-    /// carries a null pointer and scheduling is bit-identical to a build
-    /// without the subsystem.
+    /// carries a null pointer, telemetry() is a disabled hub whose flight
+    /// recorder has no ring storage, and scheduling is bit-identical to a
+    /// build without the subsystem.
     telemetry::Config telemetry{};
   };
 

@@ -29,21 +29,28 @@ struct RecorderConfig {
 
 class FlightRecorder {
  public:
+  /// One ring per CPU.  num_cpus == 0 builds a ring-less recorder, which is
+  /// what a disabled Telemetry hub carries: every call below is safe on it,
+  /// records nothing and reports zero.
   FlightRecorder(std::uint32_t num_cpus, RecorderConfig cfg);
 
+  /// No-op when `cpu` has no ring.
   void record(std::uint32_t cpu, EventKind kind, sim::Nanos time,
               std::uint32_t tid, std::int64_t arg) noexcept;
 
   [[nodiscard]] std::uint32_t num_cpus() const {
     return static_cast<std::uint32_t>(rings_.size());
   }
-  [[nodiscard]] const SpscRing& ring(std::uint32_t cpu) const {
-    return *rings_[cpu];
-  }
   [[nodiscard]] const RecorderConfig& config() const { return cfg_; }
+  /// Per-ring capacity after rounding, whether or not any ring exists.
+  [[nodiscard]] std::size_t ring_capacity() const {
+    return round_ring_capacity(cfg_.ring_capacity);
+  }
 
-  /// Retained window of one CPU, oldest first.
+  /// Retained window of one CPU, oldest first (empty when `cpu` has no
+  /// ring).
   [[nodiscard]] std::vector<Record> snapshot(std::uint32_t cpu) const {
+    if (cpu >= rings_.size()) return {};
     return rings_[cpu]->snapshot();
   }
   /// All CPUs merged, sorted by (time, cpu); within one (time, cpu) pair the
@@ -55,7 +62,8 @@ class FlightRecorder {
   [[nodiscard]] std::uint64_t kind_count(EventKind k) const {
     return kind_counts_[static_cast<std::size_t>(k)];
   }
-  /// Count of one kind inside a single CPU's retained window.
+  /// Count of one kind inside a single CPU's retained window (0 when `cpu`
+  /// has no ring).
   [[nodiscard]] std::uint64_t retained_kind_count(std::uint32_t cpu,
                                                   EventKind k) const;
 

@@ -8,6 +8,10 @@
 // flight, even (2 * (logical_index + 1)) once committed.  A reader copies
 // the slot and re-checks the tag; a concurrent overwrite of that slot shows
 // up as a tag change and the torn copy is discarded rather than returned.
+// The payload is three relaxed atomic words, ordered by a release fence
+// after the odd-tag store (writer) and an acquire fence before the tag
+// re-check (reader), so the protocol is race-free under the C++ memory
+// model, not merely on x86.
 //
 // Inside the simulator all CPUs of one System run on a single host thread,
 // so writer and reader never actually race there; the real atomics matter
@@ -15,6 +19,7 @@
 // design honest for a native port.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -24,16 +29,21 @@
 
 namespace hrt::telemetry {
 
+/// Ring capacity actually used for a requested one: the next power of two,
+/// minimum 8.  Shared by SpscRing and FlightRecorder::ring_capacity().
+[[nodiscard]] constexpr std::size_t round_ring_capacity(std::size_t requested) {
+  std::size_t cap = 8;
+  while (cap < requested) cap <<= 1;
+  return cap;
+}
+
 class SpscRing {
  public:
   /// Capacity is rounded up to a power of two (minimum 8).
-  explicit SpscRing(std::size_t capacity) {
-    std::size_t cap = 8;
-    while (cap < capacity) cap <<= 1;
-    capacity_ = cap;
-    mask_ = cap - 1;
-    slots_ = std::make_unique<Slot[]>(cap);
-  }
+  explicit SpscRing(std::size_t capacity)
+      : capacity_(round_ring_capacity(capacity)),
+        mask_(capacity_ - 1),
+        slots_(std::make_unique<Slot[]>(capacity_)) {}
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
@@ -41,10 +51,14 @@ class SpscRing {
   void push(const Record& r) noexcept {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
     Slot& s = slots_[h & mask_];
-    // Odd tag: write in flight.  Readers that see it skip the slot.
-    s.seq.store(2 * h + 1, std::memory_order_release);
-    s.rec = r;
-    s.rec.gen = static_cast<std::uint8_t>(h / capacity_);
+    const Words w = pack(r, static_cast<std::uint8_t>(h / capacity_));
+    // Odd tag: write in flight.  Readers that see it skip the slot.  The
+    // fence keeps the payload stores below from becoming visible before it.
+    s.seq.store(2 * h + 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+    s.words[0].store(w[0], std::memory_order_relaxed);
+    s.words[1].store(w[1], std::memory_order_relaxed);
+    s.words[2].store(w[2], std::memory_order_relaxed);
     // Even tag encodes the logical index, so a reader can verify the copy
     // belongs to the generation it expected (wraparound detection).
     s.seq.store(2 * (h + 1), std::memory_order_release);
@@ -80,11 +94,14 @@ class SpscRing {
     for (std::uint64_t i = lo; i < h; ++i) {
       const Slot& s = slots_[i & mask_];
       const std::uint64_t before = s.seq.load(std::memory_order_acquire);
-      Record r = s.rec;
+      const Words w = {s.words[0].load(std::memory_order_relaxed),
+                       s.words[1].load(std::memory_order_relaxed),
+                       s.words[2].load(std::memory_order_relaxed)};
+      // Orders the payload loads above before the tag re-check below.
       std::atomic_thread_fence(std::memory_order_acquire);
       const std::uint64_t after = s.seq.load(std::memory_order_relaxed);
       if (before == after && before == 2 * (i + 1)) {
-        out.push_back(r);
+        out.push_back(unpack(w));
       } else {
         ++skipped;  // overwritten or being written while we copied
       }
@@ -94,13 +111,38 @@ class SpscRing {
   }
 
  private:
+  // A Record as three 64-bit words: time, arg, then tid | cpu | kind | gen.
+  // Packed with shifts rather than memcpy, so the writer's narrow fields
+  // never reach the slot through a store-forwarding stall.
+  static constexpr std::size_t kWords = sizeof(Record) / sizeof(std::uint64_t);
+  using Words = std::array<std::uint64_t, kWords>;
+
+  static Words pack(const Record& r, std::uint8_t gen) noexcept {
+    return {static_cast<std::uint64_t>(r.time),
+            static_cast<std::uint64_t>(r.arg),
+            std::uint64_t{r.tid} | std::uint64_t{r.cpu} << 32 |
+                std::uint64_t{static_cast<std::uint8_t>(r.kind)} << 48 |
+                std::uint64_t{gen} << 56};
+  }
+
+  static Record unpack(const Words& w) noexcept {
+    Record r;
+    r.time = static_cast<sim::Nanos>(w[0]);
+    r.arg = static_cast<std::int64_t>(w[1]);
+    r.tid = static_cast<std::uint32_t>(w[2]);
+    r.cpu = static_cast<std::uint16_t>(w[2] >> 32);
+    r.kind = static_cast<EventKind>(static_cast<std::uint8_t>(w[2] >> 48));
+    r.gen = static_cast<std::uint8_t>(w[2] >> 56);
+    return r;
+  }
+
   struct Slot {
     std::atomic<std::uint64_t> seq{0};
-    Record rec{};
+    std::atomic<std::uint64_t> words[kWords] = {};
   };
 
-  std::size_t capacity_ = 0;
-  std::uint64_t mask_ = 0;
+  std::size_t capacity_;
+  std::uint64_t mask_;
   std::unique_ptr<Slot[]> slots_;
   std::atomic<std::uint64_t> head_{0};
 };

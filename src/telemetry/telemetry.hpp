@@ -27,8 +27,9 @@ class Auditor;
 namespace hrt::telemetry {
 
 struct Config {
-  /// Master switch.  Off (the default) means rt::System does not even
-  /// construct the subsystem and the kernel carries a null pointer.
+  /// Master switch.  Off (the default) means the kernel carries a null
+  /// pointer and the hub rt::System still builds is disabled: its hooks
+  /// return at once and its flight recorder has no ring storage.
   bool enabled = false;
   RecorderConfig recorder{};
   /// Distinct threads tracked with full histograms; beyond this only the

@@ -2,13 +2,14 @@
 // docs/OBSERVABILITY.md):
 //   * the per-CPU seqlock SPSC ring: ordering, drop-oldest wraparound,
 //     generation tags, and torn-read rejection under a real writer thread,
-//   * the recorder's kind counters and self-measured record cost,
+//   * the recorder's kind counters and self-measured record cost, and the
+//     ring-less recorder a disabled hub carries,
 //   * log-bucketed histograms and their quantile extraction,
 //   * the streaming metrics registry and the declarative SLO monitor
 //     (burn-rate windows, alert transitions, the kSloBudget invariant),
 //   * end-to-end capture through rt::System: default-off null-pointer
-//     wiring, bit-identical scheduling on vs off, scheduler/migration
-//     events landing in the right rings,
+//     wiring with no ring storage, bit-identical scheduling on vs off,
+//     scheduler/migration events landing in the right rings,
 //   * the export layer: Chrome trace JSON round-trips through the bundled
 //     parser, and a sim::Trace adapted through the same exporter agrees
 //     with the EDF replay oracle.
@@ -22,10 +23,12 @@
 #include <thread>
 
 #include "audit/replay.hpp"
+#include "cluster/controller.hpp"
 #include "rt/report.hpp"
 #include "rt/system.hpp"
 #include "sim/histogram.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/metrics_diff.hpp"
 
 namespace hrt {
 namespace {
@@ -178,6 +181,36 @@ TEST(TelemetryRecorder, KindCountsMergedSnapshotAndSelfCost) {
     EXPECT_NE(telemetry::event_kind_name(static_cast<EventKind>(k)),
               std::string("?"));
   }
+}
+
+TEST(TelemetryRecorder, ZeroRingRecorderIsInert) {
+  // The recorder a disabled hub carries: no rings, every call safe.
+  telemetry::RecorderConfig cfg;
+  cfg.ring_capacity = 100;
+  cfg.cost_sample_every = 1;
+  telemetry::FlightRecorder rec(0, cfg);
+  EXPECT_EQ(rec.num_cpus(), 0u);
+  EXPECT_EQ(rec.ring_capacity(), 128u);  // rounded like SpscRing(100)
+  rec.record(0, EventKind::kPass, 100, 0, 1);
+  rec.record(3, EventKind::kSwitch, 200, 7, 0);
+  EXPECT_TRUE(rec.snapshot(0).empty());
+  EXPECT_TRUE(rec.snapshot(3).empty());
+  EXPECT_TRUE(rec.snapshot_all().empty());
+  EXPECT_EQ(rec.retained_kind_count(0, EventKind::kPass), 0u);
+  EXPECT_EQ(rec.written(), 0u);
+  EXPECT_EQ(rec.dropped(), 0u);
+  EXPECT_EQ(rec.kind_count(EventKind::kPass), 0u);
+  EXPECT_EQ(rec.kind_count(EventKind::kSwitch), 0u);
+  EXPECT_EQ(rec.sampled_cost_ns().count(), 0u);
+
+  // A ringed recorder guards out-of-range CPUs the same way.
+  telemetry::FlightRecorder one(1, cfg);
+  one.record(1, EventKind::kPass, 100, 0, 1);
+  EXPECT_EQ(one.written(), 0u);
+  EXPECT_TRUE(one.snapshot(1).empty());
+  EXPECT_EQ(one.retained_kind_count(1, EventKind::kPass), 0u);
+  EXPECT_EQ(telemetry::round_ring_capacity(100),
+            telemetry::SpscRing(100).capacity());
 }
 
 // ---------- histograms ----------
@@ -338,6 +371,49 @@ TEST(TelemetrySystem, DisabledByDefaultIsNullPointerAndRecordsNothing) {
   EXPECT_EQ(sys.telemetry().recorder().written(), 0u);
   EXPECT_EQ(sys.telemetry().metrics().cpu(1).passes, 0u);
   EXPECT_EQ(sys.telemetry().metrics().cpu(1).completions, 0u);
+}
+
+TEST(TelemetrySystem, DisabledAllocatesNoRings) {
+  // Telemetry off costs nothing at construction either: a 256-CPU Phi
+  // System and a telemetry-off cluster carry ring-less recorders, yet
+  // their hubs still export well-formed metrics and Chrome traces.
+  const auto check_exports = [](const telemetry::Telemetry& tel,
+                                sim::Nanos now, std::uint32_t cpus) {
+    EXPECT_FALSE(tel.enabled());
+    EXPECT_EQ(tel.recorder().num_cpus(), 0u);
+    std::ostringstream metrics;
+    telemetry::write_metrics_json(metrics, tel, now);
+    const telemetry::MetricsSnapshot snap =
+        telemetry::parse_metrics_snapshot(metrics.str());
+    ASSERT_TRUE(snap.ok) << snap.error;
+    EXPECT_EQ(snap.values.at("recorder.ring_capacity"), 4096.0);
+    EXPECT_EQ(snap.values.at("recorder.written"), 0.0);
+    std::ostringstream chrome;
+    telemetry::write_chrome_trace(chrome, tel);
+    const telemetry::ParsedTrace parsed =
+        telemetry::parse_chrome_trace(chrome.str());
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    // Only the per-CPU capacity counters: no recorded events.
+    EXPECT_EQ(parsed.events.size(), cpus);
+  };
+
+  System sys;  // default options: 256-CPU Phi, telemetry off
+  EXPECT_EQ(sys.kernel().telemetry(), nullptr);
+  check_exports(sys.telemetry(), sys.engine().now(),
+                sys.machine().num_cpus());
+
+  cluster::ClusterController::Options co;
+  co.nodes = 2;
+  co.node_options.spec = hw::MachineSpec::phi_small(4);
+  cluster::ClusterController ctl(std::move(co));
+  check_exports(ctl.telemetry(), ctl.now(), 2);
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(ctl.node(i).telemetry().recorder().num_cpus(), 0u);
+  }
+
+  System on(observed(8));
+  EXPECT_EQ(on.telemetry().recorder().num_cpus(), 8u);
+  EXPECT_EQ(on.telemetry().recorder().ring_capacity(), 4096u);
 }
 
 TEST(TelemetrySystem, BitIdenticalScheduleOnVsOff) {
