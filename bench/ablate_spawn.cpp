@@ -29,13 +29,16 @@ using namespace hrt;
 
 constexpr unsigned kCpus = 2;  // deep per-CPU sets stress the slow analysis
 
-System::Options cell_options(bool fast) {
+/// `per_cpu` is the deepest per-CPU thread count a cell builds; the queues
+/// get 2x that as headroom (1024, the scheduler default, in quick mode).
+System::Options cell_options(bool fast, int per_cpu) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(kCpus);
   o.smi_enabled = false;
   o.spec.smi.enabled = false;
   o.interrupt_laden_cpus = 0;
   o.sched.fast_admission = fast;
+  o.sched.max_threads = 2 * static_cast<std::size_t>(per_cpu);
   return o;
 }
 
@@ -60,7 +63,7 @@ struct CellResult {
 CellResult run_serial(int n, bool fast) {
   CellResult best;
   for (int rep = 0; rep < 3; ++rep) {
-    System sys(cell_options(fast));
+    System sys(cell_options(fast, n / static_cast<int>(kCpus)));
     sys.boot();
     std::uint64_t ok = 0;
     const auto t0 = Clock::now();
@@ -80,7 +83,7 @@ CellResult run_serial(int n, bool fast) {
 CellResult run_batch(int n) {
   CellResult best;
   for (int rep = 0; rep < 3; ++rep) {
-    System sys(cell_options(true));
+    System sys(cell_options(true, n / static_cast<int>(kCpus)));
     sys.boot();
     std::vector<System::SpawnSpec> specs;
     specs.reserve(n);
@@ -120,8 +123,8 @@ void decision_latency(int depth, int samples, Percentiles* fast,
                       Percentiles* slow) {
   // Two identically-loaded systems: probe_admission honors fast_admission,
   // so the slow samples must come from a system with the word probe off.
-  System fast_sys(cell_options(true));
-  System slow_sys(cell_options(false));
+  System fast_sys(cell_options(true, depth));
+  System slow_sys(cell_options(false, depth));
   fast_sys.boot();
   slow_sys.boot();
   for (int i = 0; i < depth; ++i) {

@@ -17,7 +17,8 @@
 #                          cost vs pass span; this script fails if the
 #                          overhead fraction reaches 2% (docs/OBSERVABILITY.md)
 #                          or if a telemetry-off Phi System builds any
-#                          recorder ring
+#                          recorder ring, or if a telemetry-on one takes
+#                          more than 5x as long to construct
 #   BENCH_spawn.json     — ablate_spawn: batched spawn + lock-free admission
 #                          fast path; this script fails if batch throughput
 #                          is < 5x the serial-slow cell at 1024 specs, or if
@@ -97,6 +98,30 @@ awk '
       exit 1
     }
     print "telemetry-off Phi System builds no recorder rings"
+  }
+' BENCH_telemetry.json
+# Hard gate, host-independent: the recorder's rings are not zero-filled, so a
+# telemetry-on Phi System must construct within 5x of a telemetry-off one
+# (both timed on this host).  A missing field fails too.
+awk '
+  match($0, /"off_ctor_ms": [0-9.eE+-]+/) {
+    off = substr($0, RSTART + 15, RLENGTH - 15) + 0
+    have_off = 1
+  }
+  match($0, /"on_ctor_ms": [0-9.eE+-]+/) {
+    on = substr($0, RSTART + 14, RLENGTH - 14) + 0
+    have_on = 1
+  }
+  END {
+    if (!have_off || !have_on) {
+      print "error: off_ctor_ms or on_ctor_ms missing from BENCH_telemetry.json"
+      exit 1
+    }
+    if (on > 5 * off) {
+      printf "error: telemetry-on Phi System ctor %.3f ms > 5x telemetry-off %.3f ms\n", on, off
+      exit 1
+    }
+    printf "telemetry-on Phi System ctor %.3f ms <= 5x telemetry-off %.3f ms\n", on, off
   }
 ' BENCH_telemetry.json
 

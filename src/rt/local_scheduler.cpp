@@ -966,8 +966,9 @@ void LocalScheduler::complete_migration(nk::Thread& t, sim::Nanos now) {
     t.state = nk::Thread::State::kReady;
   }
   if (!cfg_.test_faults.stale_migrate_cpu) t.cpu = to;
-  bool ok = target->change_constraints(t, c, now);
-  if (ok) {
+  const bool handed_off = target->change_constraints(t, c, now);
+  bool readmitted = false;
+  if (handed_off) {
     ++stats_.migrations_out;
     ++target->stats_.migrations_in;
     if (telemetry_ != nullptr) {
@@ -994,17 +995,8 @@ void LocalScheduler::complete_migration(nk::Thread& t, sim::Nanos now) {
       target->cancel_reservation(t);
     }
     t.cpu = cpu_;
-    ok = change_constraints(t, c, now);
-    if (auditor_ != nullptr && auditor_->enabled() &&
-        auditor_->config().check_migration) {
-      auditor_->record(audit::Invariant::kMigration, cpu_, now,
-                       "thread " + std::to_string(t.id) + " hand-off to cpu " +
-                           std::to_string(to) +
-                           " failed despite a reservation" +
-                           (ok ? " (re-admitted locally)"
-                               : " (demoted to aperiodic)"));
-    }
-    if (!ok) {
+    readmitted = change_constraints(t, c, now);
+    if (!readmitted) {
       t.constraints = Constraints::aperiodic(t.constraints.priority);
       t.rt = nk::Thread::RtState{};
       nk::Thread* cur = exec_ != nullptr ? exec_->current() : nullptr;
@@ -1016,6 +1008,16 @@ void LocalScheduler::complete_migration(nk::Thread& t, sim::Nanos now) {
   t.rt.misses += saved.misses;
   t.rt.miss_ns = saved.miss_ns;
   t.rt.switch_latency = saved.switch_latency;
+  // Report a failed hand-off only once the rollback is complete: a throwing
+  // auditor must leave the thread and both CPUs' books consistent.
+  if (!handed_off && auditor_ != nullptr && auditor_->enabled() &&
+      auditor_->config().check_migration) {
+    auditor_->record(audit::Invariant::kMigration, cpu_, now,
+                     "thread " + std::to_string(t.id) + " hand-off to cpu " +
+                         std::to_string(to) + " failed despite a reservation" +
+                         (readmitted ? " (re-admitted locally)"
+                                     : " (demoted to aperiodic)"));
+  }
 }
 
 std::size_t LocalScheduler::thread_count() const {

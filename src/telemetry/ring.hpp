@@ -13,6 +13,13 @@
 // re-check (reader), so the protocol is race-free under the C++ memory
 // model, not merely on x86.
 //
+// Slot storage is plain, uninitialized 64-bit words (tag, then the three
+// record words: 32 B per slot), accessed only through std::atomic_ref.
+// Nothing is zero-filled, so building a ring is O(1) and its pages stay
+// virtual until the first lap of pushes touches them.  This is sound
+// because snapshot() reads only logical indices in [first_retained, head),
+// and a push has fully written every one of those slots.
+//
 // Inside the simulator all CPUs of one System run on a single host thread,
 // so writer and reader never actually race there; the real atomics matter
 // for the cross-thread stress test (tests/test_telemetry.cpp) and keep the
@@ -43,25 +50,26 @@ class SpscRing {
   explicit SpscRing(std::size_t capacity)
       : capacity_(round_ring_capacity(capacity)),
         mask_(capacity_ - 1),
-        slots_(std::make_unique<Slot[]>(capacity_)) {}
+        words_(std::make_unique_for_overwrite<std::uint64_t[]>(
+            capacity_ * kSlotWords)) {}
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   /// Writer side.  Always succeeds; a full ring drops its oldest record.
   void push(const Record& r) noexcept {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    Slot& s = slots_[h & mask_];
+    std::uint64_t* s = slot(h);
     const Words w = pack(r, static_cast<std::uint8_t>(h / capacity_));
     // Odd tag: write in flight.  Readers that see it skip the slot.  The
     // fence keeps the payload stores below from becoming visible before it.
-    s.seq.store(2 * h + 1, std::memory_order_relaxed);
+    Word(s[0]).store(2 * h + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
-    s.words[0].store(w[0], std::memory_order_relaxed);
-    s.words[1].store(w[1], std::memory_order_relaxed);
-    s.words[2].store(w[2], std::memory_order_relaxed);
+    Word(s[1]).store(w[0], std::memory_order_relaxed);
+    Word(s[2]).store(w[1], std::memory_order_relaxed);
+    Word(s[3]).store(w[2], std::memory_order_relaxed);
     // Even tag encodes the logical index, so a reader can verify the copy
     // belongs to the generation it expected (wraparound detection).
-    s.seq.store(2 * (h + 1), std::memory_order_release);
+    Word(s[0]).store(2 * (h + 1), std::memory_order_release);
     head_.store(h + 1, std::memory_order_release);
   }
 
@@ -92,14 +100,14 @@ class SpscRing {
     out.reserve(static_cast<std::size_t>(h - lo));
     std::uint64_t skipped = 0;
     for (std::uint64_t i = lo; i < h; ++i) {
-      const Slot& s = slots_[i & mask_];
-      const std::uint64_t before = s.seq.load(std::memory_order_acquire);
-      const Words w = {s.words[0].load(std::memory_order_relaxed),
-                       s.words[1].load(std::memory_order_relaxed),
-                       s.words[2].load(std::memory_order_relaxed)};
+      std::uint64_t* s = slot(i);
+      const std::uint64_t before = Word(s[0]).load(std::memory_order_acquire);
+      const Words w = {Word(s[1]).load(std::memory_order_relaxed),
+                       Word(s[2]).load(std::memory_order_relaxed),
+                       Word(s[3]).load(std::memory_order_relaxed)};
       // Orders the payload loads above before the tag re-check below.
       std::atomic_thread_fence(std::memory_order_acquire);
-      const std::uint64_t after = s.seq.load(std::memory_order_relaxed);
+      const std::uint64_t after = Word(s[0]).load(std::memory_order_relaxed);
       if (before == after && before == 2 * (i + 1)) {
         out.push_back(unpack(w));
       } else {
@@ -136,14 +144,21 @@ class SpscRing {
     return r;
   }
 
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> words[kWords] = {};
-  };
+  // A slot is its seqlock tag followed by the record's words.
+  static constexpr std::size_t kSlotWords = 1 + kWords;
+  using Word = std::atomic_ref<std::uint64_t>;
+  static_assert(Word::is_always_lock_free &&
+                Word::required_alignment <= alignof(std::uint64_t));
+
+  // Non-const even for readers: C++20 std::atomic_ref needs a mutable
+  // referent, loads included.
+  std::uint64_t* slot(std::uint64_t logical) const noexcept {
+    return &words_[(logical & mask_) * kSlotWords];
+  }
 
   std::size_t capacity_;
   std::uint64_t mask_;
-  std::unique_ptr<Slot[]> slots_;
+  std::unique_ptr<std::uint64_t[]> words_;  // capacity_ * kSlotWords words
   std::atomic<std::uint64_t> head_{0};
 };
 

@@ -141,6 +141,36 @@ TEST(TelemetryRing, ConcurrentWriterReaderNoTornRecords) {
   EXPECT_EQ(snap.back().time, kN - 1);
 }
 
+TEST(TelemetryRing, PartialFillSnapshotsOnlyWrittenSlots) {
+  // Ring storage is not zero-filled: slots the writer has not reached yet
+  // hold whatever the allocator left there.  A snapshot must read only the
+  // written window, so a fresh ring with k pushes returns exactly those k.
+  constexpr std::size_t kCap = 64;
+  for (const std::size_t k : {std::size_t{0}, std::size_t{5}, kCap}) {
+    SCOPED_TRACE(k);
+    telemetry::SpscRing ring(kCap);
+    ASSERT_EQ(ring.capacity(), kCap);
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto v = static_cast<std::int64_t>(i);
+      ring.push(rec_at(1000 + v, v));
+    }
+    EXPECT_EQ(ring.written(), k);
+    EXPECT_EQ(ring.dropped(), 0u);
+    EXPECT_EQ(ring.first_retained(), 0u);
+    std::uint64_t torn = ~0ull;
+    const auto snap = ring.snapshot(&torn);
+    EXPECT_EQ(torn, 0u);
+    ASSERT_EQ(snap.size(), k);
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto v = static_cast<std::int64_t>(i);
+      EXPECT_EQ(snap[i].time, 1000 + v);
+      EXPECT_EQ(snap[i].arg, v);
+      EXPECT_EQ(snap[i].kind, EventKind::kCustom);
+      EXPECT_EQ(snap[i].gen, 0);  // first lap
+    }
+  }
+}
+
 // ---------- recorder ----------
 
 TEST(TelemetryRecorder, KindCountsMergedSnapshotAndSelfCost) {
