@@ -22,11 +22,17 @@
 // Phase C checks what construction costs: a default (telemetry-off)
 // 256-CPU Phi System must carry a flight recorder with zero rings, and a
 // telemetry-on one, whose rings are not zero-filled, must build within a
-// small factor of it.  bench/run_perf.sh gates the ring count and the
-// on/off construction-time ratio; both are host-independent.
+// small factor of it.  It also measures what booting a telemetry-off Phi
+// System leaves on the heap: the local schedulers' queues allocate their
+// storage on demand, so a freshly booted System holds well under its
+// worst-case queue capacity.  bench/run_perf.sh gates the ring count, the
+// on/off construction-time ratio and the boot heap footprint; all three are
+// host-independent.
 //
 // Output: human-readable tables plus a JSON record (--json=PATH, default
 // BENCH_telemetry.json); see docs/PERFORMANCE.md for the schema.
+#include <malloc.h>
+
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -220,6 +226,34 @@ CtorResult run_ctor(bool telemetry_on) {
   return r;
 }
 
+// Boot footprint of a telemetry-off Phi System.  The heap delta is glibc's
+// in-use byte count (mallinfo2().uordblks) across construction plus boot,
+// which depends on the code and the C++ library, not on the host's speed.
+struct BootResult {
+  double heap_kib = 0.0;
+  double boot_ms = 0.0;  // construct + boot, best of kReps
+};
+
+BootResult run_boot() {
+  constexpr int kReps = 30;
+  BootResult r;
+  for (int rep = 0; rep < kReps; ++rep) {
+    System::Options o;  // MachineSpec::phi()
+    o.telemetry.enabled = false;
+    const std::size_t heap_before = mallinfo2().uordblks;
+    bench::Stopwatch sw;
+    System sys(std::move(o));
+    sys.boot();
+    const double ms = sw.seconds() * 1e3;
+    if (rep == 0) {
+      r.heap_kib =
+          static_cast<double>(mallinfo2().uordblks - heap_before) / 1024.0;
+    }
+    if (rep == 0 || ms < r.boot_ms) r.boot_ms = ms;
+  }
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -239,6 +273,7 @@ int main(int argc, char** argv) {
   // fault per ring's malloc header instead of construction.
   const CtorResult off_ctor = run_ctor(/*telemetry_on=*/false);
   const CtorResult on_ctor = run_ctor(/*telemetry_on=*/true);
+  const BootResult off_boot = run_boot();
 
   std::vector<CellSpec> cells = {
       {"feasible/1ms@30%", sim::millis(1), 30, true},
@@ -352,6 +387,9 @@ int main(int argc, char** argv) {
               "%.3f ms (%.1fx off)\n",
               on_ctor.recorder_rings, on_ctor.ctor_ms,
               on_ctor.ctor_ms / off_ctor.ctor_ms);
+  std::printf("telemetry-off Phi System: construct + boot %.3f ms, "
+              "%.0f KiB left on the heap\n",
+              off_boot.boot_ms, off_boot.heap_kib);
   bench::shape_check("telemetry-off Phi System allocates no recorder rings",
                      off_ctor.recorder_rings == 0);
 
@@ -409,6 +447,8 @@ int main(int argc, char** argv) {
   j.field("off_recorder_rings",
           static_cast<std::uint64_t>(off_ctor.recorder_rings));
   j.field("on_ctor_ms", on_ctor.ctor_ms);
+  j.field("off_boot_ms", off_boot.boot_ms);
+  j.field("off_boot_heap_kib", off_boot.heap_kib);
   if (!j.write_file(args.json)) {
     std::fprintf(stderr, "warning: cannot write %s\n", args.json.c_str());
     return 1;

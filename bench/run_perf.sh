@@ -18,7 +18,9 @@
 #                          overhead fraction reaches 2% (docs/OBSERVABILITY.md)
 #                          or if a telemetry-off Phi System builds any
 #                          recorder ring, or if a telemetry-on one takes
-#                          more than 5x as long to construct
+#                          more than 5x as long to construct, or if booting
+#                          a telemetry-off one leaves more than 2 MiB on the
+#                          heap
 #   BENCH_spawn.json     — ablate_spawn: batched spawn + lock-free admission
 #                          fast path; this script fails if batch throughput
 #                          is < 5x the serial-slow cell at 1024 specs, or if
@@ -122,6 +124,27 @@ awk '
       exit 1
     }
     printf "telemetry-on Phi System ctor %.3f ms <= 5x telemetry-off %.3f ms\n", on, off
+  }
+' BENCH_telemetry.json
+# Hard gate, host-independent: the local schedulers allocate queue storage on
+# demand, so constructing plus booting a telemetry-off Phi System must leave
+# at most 2048 KiB on the heap (glibc mallinfo2; docs/PERFORMANCE.md).  A
+# missing field fails too.
+awk '
+  match($0, /"off_boot_heap_kib": [0-9.eE+-]+/) {
+    found = 1
+    kib = substr($0, RSTART + 21, RLENGTH - 21) + 0
+  }
+  END {
+    if (!found) {
+      print "error: off_boot_heap_kib missing from BENCH_telemetry.json"
+      exit 1
+    }
+    if (kib > 2048) {
+      printf "error: booting a telemetry-off Phi System left %.0f KiB on the heap (> 2048)\n", kib
+      exit 1
+    }
+    printf "booting a telemetry-off Phi System left %.0f KiB on the heap (<= 2048)\n", kib
   }
 ' BENCH_telemetry.json
 

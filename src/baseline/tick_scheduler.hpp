@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "nautilus/kernel.hpp"
 #include "nautilus/scheduler.hpp"
@@ -71,12 +70,12 @@ class TickScheduler final : public nk::SchedulerBase {
   std::uint32_t cpu_;
   Config cfg_;
   nk::CpuExecutor* exec_ = nullptr;
-  std::deque<nk::Thread*> ready_;
+  rt::Fifo<nk::Thread*> ready_;
   // Earliest-wake heap: the per-tick sleeper sweep peeks top() instead of
   // scanning, and try_wake removes in O(log n) via the intrusive index.
   rt::BoundedHeap<nk::Thread*, WakeBefore, rt::MemberIndex<nk::Thread*>>
       sleepers_;
-  std::deque<nk::Task> tasks_;
+  rt::Fifo<nk::Task> tasks_;
   std::uint64_t ticks_ = 0;
   std::uint32_t quantum_used_ = 0;
 };

@@ -48,15 +48,14 @@ void CpuExecutor::begin(Thread* idle) {
   sched_->arm_timer(wall_now());
 }
 
-void CpuExecutor::set_inflight(sim::Nanos end, std::function<void()> cont) {
+void CpuExecutor::set_inflight(sim::Nanos end, sim::Callback cont) {
   const sim::Nanos now = engine_.now();
   stage_start_ = now;
   stage_end_ = end < now ? now : end;
   stage_cont_ = std::move(cont);
   inflight_ = engine_.schedule_at(stage_end_, [this] {
     inflight_.reset();
-    auto c = std::move(stage_cont_);
-    stage_cont_ = nullptr;
+    sim::Callback c = std::move(stage_cont_);
     c();
   });
 }
@@ -119,7 +118,7 @@ void CpuExecutor::suspend_current() {
       current_->spin_satisfied = true;
     }
     clear_inflight();
-    stage_cont_ = nullptr;
+    stage_cont_.reset();
   }
 }
 
@@ -498,9 +497,8 @@ void CpuExecutor::on_freeze() {
 void CpuExecutor::on_unfreeze(sim::Nanos /*duration*/) {
   if (!freeze_pending_resume_) return;
   freeze_pending_resume_ = false;
-  auto cont = std::move(stage_cont_);
-  set_inflight(engine_.now() + freeze_resume_delay_,
-               std::move(cont));
+  sim::Callback cont = std::move(stage_cont_);
+  set_inflight(engine_.now() + freeze_resume_delay_, std::move(cont));
 }
 
 }  // namespace hrt::nk

@@ -16,11 +16,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "hw/machine.hpp"
 #include "nautilus/scheduler.hpp"
 #include "nautilus/thread.hpp"
+#include "sim/callback.hpp"
 #include "sim/stats.hpp"
 
 namespace hrt::nk {
@@ -88,7 +88,7 @@ class CpuExecutor {
   void finish_current_action();
   void suspend_current();
   void close_run_span();
-  void set_inflight(sim::Nanos end, std::function<void()> cont);
+  void set_inflight(sim::Nanos end, sim::Callback cont);
   void clear_inflight();
 
   Kernel& kernel_;
@@ -105,7 +105,7 @@ class CpuExecutor {
   sim::EventId inflight_;
   sim::Nanos stage_start_ = 0;
   sim::Nanos stage_end_ = 0;
-  std::function<void()> stage_cont_;
+  sim::Callback stage_cont_;
 
   // Freeze bookkeeping.
   bool freeze_pending_resume_ = false;

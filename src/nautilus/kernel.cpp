@@ -114,8 +114,7 @@ void Kernel::boot() {
     idle->cpu = c;
     place_thread_state(idle);
     idle->constraints = rt::Constraints::aperiodic(rt::kIdlePriority);
-    behaviors_.push_back(std::make_unique<IdleBehavior>(c, probe_ns));
-    idle->behavior = behaviors_.back().get();
+    idle->behavior = std::make_unique<IdleBehavior>(c, probe_ns);
     idle_threads_.push_back(idle);
   }
   for (std::uint32_t c = 0; c < n; ++c) {
@@ -144,6 +143,15 @@ void Kernel::place_thread_state(Thread* t) {
   t->state_zone = zone;
 }
 
+Thread* Kernel::new_thread() {
+  const std::size_t slot = threads_created_ % kThreadSlab;
+  if (slot == 0) {
+    thread_slabs_.push_back(std::make_unique<Thread[]>(kThreadSlab));
+  }
+  ++threads_created_;
+  return &thread_slabs_.back()[slot];
+}
+
 Thread* Kernel::allocate_thread(std::string name) {
   if (!pool_.empty()) {
     Thread* t = pool_.back();
@@ -152,8 +160,7 @@ Thread* Kernel::allocate_thread(std::string name) {
     t->recycle(next_id_++, std::move(name));
     return t;
   }
-  threads_.push_back(std::make_unique<Thread>());
-  Thread* t = threads_.back().get();
+  Thread* t = new_thread();
   t->id = next_id_++;
   t->name = std::move(name);
   return t;
@@ -186,8 +193,7 @@ Thread* Kernel::create_thread_parked(std::string name,
   t->bound = bound;
   place_thread_state(t);
   t->constraints = rt::Constraints::aperiodic(priority);
-  behaviors_.push_back(std::move(behavior));
-  t->behavior = behaviors_.back().get();
+  t->behavior = std::move(behavior);
   t->state = Thread::State::kReady;
   return t;
 }
@@ -209,8 +215,7 @@ void Kernel::abort_thread_batch(const std::vector<Thread*>& batch) {
 
 void Kernel::prewarm_thread_pool(std::size_t n) {
   while (pool_.size() < n) {
-    threads_.push_back(std::make_unique<Thread>());
-    Thread* t = threads_.back().get();
+    Thread* t = new_thread();
     t->state = Thread::State::kPooled;
     pool_.push_back(t);
   }
@@ -314,8 +319,9 @@ bool Kernel::migrate_aperiodic(Thread* t, std::uint32_t to) {
 
 std::vector<Thread*> Kernel::live_threads() const {
   std::vector<Thread*> out;
-  for (const auto& t : threads_) {
-    if (t->state != Thread::State::kPooled) out.push_back(t.get());
+  for (std::size_t i = 0; i < threads_created_; ++i) {
+    Thread& t = thread_slabs_[i / kThreadSlab][i % kThreadSlab];
+    if (t.state != Thread::State::kPooled) out.push_back(&t);
   }
   return out;
 }

@@ -209,7 +209,7 @@ class Kernel {
 
   /// Sum of thread objects ever created (pool reuses don't count twice).
   [[nodiscard]] std::size_t threads_created() const {
-    return threads_.size();
+    return threads_created_;
   }
 
   /// The buddy arena serving a NUMA zone's allocations.
@@ -225,6 +225,7 @@ class Kernel {
 
  private:
   Thread* allocate_thread(std::string name);
+  Thread* new_thread();
   void place_thread_state(Thread* t);
 
   hw::Machine& machine_;
@@ -236,8 +237,14 @@ class Kernel {
   std::vector<std::unique_ptr<SchedulerBase>> schedulers_;
   std::vector<Thread*> idle_threads_;
 
-  std::vector<std::unique_ptr<Thread>> threads_;
-  std::vector<std::unique_ptr<Behavior>> behaviors_;
+  // Thread objects are never freed before the kernel (exited ones return to
+  // pool_), so they are carved from fixed-size slabs: one host allocation per
+  // kThreadSlab threads instead of one per thread.  Freeing the slabs also
+  // lets glibc consolidate a teardown's small frees before the next System
+  // is built (docs/PERFORMANCE.md, "Scheduler queues").
+  static constexpr std::size_t kThreadSlab = 64;
+  std::vector<std::unique_ptr<Thread[]>> thread_slabs_;
+  std::size_t threads_created_ = 0;
   std::vector<std::unique_ptr<BuddyAllocator>> zone_arenas_;
   std::vector<Thread*> pool_;
   std::uint64_t pool_reuses_ = 0;

@@ -9,17 +9,17 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "nautilus/action.hpp"
+#include "nautilus/behavior.hpp"
 #include "rt/constraints.hpp"
 #include "rt/queues.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace hrt::nk {
-
-class Behavior;
 
 /// Sentinel for Thread::migrate_to: no migration pending.
 inline constexpr std::uint32_t kNoMigrateTarget = 0xFFFFFFFFu;
@@ -65,7 +65,11 @@ class Thread {
   State state = State::kReady;
   rt::Constraints constraints = rt::Constraints::aperiodic();
 
-  Behavior* behavior = nullptr;  // owned by the kernel alongside the thread
+  /// Owned by the thread.  A pooled thread keeps its last behavior until the
+  /// pool hands the thread out again (recycle()), so callers may still read
+  /// a finished thread's behavior until the next spawn, while the number of
+  /// live behaviors stays bounded by the thread objects, not total spawns.
+  std::unique_ptr<Behavior> behavior;
 
   // Action progress (managed by the executor).
   Action action;
@@ -99,7 +103,7 @@ class Thread {
     migrate_to = kNoMigrateTarget;
     state = State::kReady;
     constraints = rt::Constraints::aperiodic();
-    behavior = nullptr;
+    behavior.reset();
     action = Action::exit();
     action_active = false;
     action_remaining = 0;

@@ -11,12 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "nautilus/kernel.hpp"
 #include "nautilus/scheduler.hpp"
 #include "rt/cyclic_executive.hpp"
+#include "rt/queues.hpp"
 
 namespace hrt::rt {
 
@@ -79,9 +79,9 @@ class CyclicExecutiveScheduler final : public nk::SchedulerBase {
   sim::Nanos epoch_ = -1;  // wall time the executive started; -1 = inactive
   sim::Nanos slop_;        // timer earliness tolerance (one APIC tick)
 
-  std::deque<nk::Thread*> aperiodic_;
-  std::deque<nk::Thread*> sleepers_;
-  std::deque<nk::Task> tasks_queue_;
+  Fifo<nk::Thread*> aperiodic_;
+  Fifo<nk::Thread*> sleepers_;
+  Fifo<nk::Task> tasks_queue_;
 };
 
 }  // namespace hrt::rt

@@ -10,7 +10,11 @@
 // It is invoked only on a timer interrupt, a kick IPI from another local
 // scheduler, or by a small set of current-thread actions (sleep, yield,
 // exit, change constraints).  Every invocation is bounded: the queues have
-// fixed capacity and the pass cost model charges base + per-thread work.
+// fixed capacity (Config::max_threads, Config::max_tasks) and the pass cost
+// model charges base + per-thread work.  The host storage behind the queues
+// is allocated on demand and never past capacity, so a booted CPU holds only
+// what its threads and tasks have used; the simulated cost does not depend
+// on it.
 //
 // Eagerness (section 3.6): a runnable real-time thread is switched to
 // immediately, never delayed to the latest feasible start, so that SMI
@@ -20,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <utility>
@@ -315,8 +318,8 @@ class LocalScheduler final : public nk::SchedulerBase {
   BoundedHeap<nk::Thread*, WakeBefore, MemberIndex<nk::Thread*>> sleepers_;
   std::vector<nk::Thread*> periodic_set_;  // admitted periodic threads
 
-  std::deque<nk::Task> sized_tasks_;
-  std::deque<nk::Task> unsized_tasks_;
+  Fifo<nk::Task> sized_tasks_;
+  Fifo<nk::Task> unsized_tasks_;
   std::vector<std::pair<nk::Thread*, Constraints>> reservations_;
 
   struct DeferredChange {

@@ -1,10 +1,15 @@
-// Fixed-capacity binary heap, optionally with intrusive index tracking.
+// Fixed-capacity binary heap, optionally with intrusive index tracking, and
+// the FIFO the per-CPU schedulers keep their task and round-robin queues in.
 //
 // "The maximum number of threads in the whole system is determined at
 // compile time, each local scheduler uses fixed size priority queues ...
 // As a result, the time spent in a local scheduler invocation is bounded"
-// (section 3.3).  The heap never allocates after construction; push beyond
-// capacity fails explicitly.
+// (section 3.3).  Here the heap has a fixed capacity but allocates its
+// storage on demand: push beyond capacity fails explicitly, and storage
+// never grows past capacity.  The simulated pass bound does not depend on
+// that storage; it comes from the machine's cost model (sched_pass_base +
+// sched_pass_per_thread * n), so a booted 256-CPU System holds only the
+// queue storage its threads have used.
 //
 // Index tracking: scheduler elements (threads) record which heap they sit in
 // and at what position, via a HeapIndex field updated on every sift.  That
@@ -16,6 +21,7 @@
 // exclusive states, so this invariant holds by construction.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -50,17 +56,21 @@ class BoundedHeap {
 
  public:
   explicit BoundedHeap(std::size_t capacity, Before before = Before())
-      : capacity_(capacity), before_(std::move(before)) {
-    heap_.reserve(capacity);
-  }
+      : capacity_(capacity), before_(std::move(before)) {}
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Returns false when full.
+  /// Returns false when full.  Storage doubles as needed, capped at
+  /// capacity().  Reallocation is safe for indexed elements: HeapIndex holds
+  /// a position, not a pointer into the storage.
   [[nodiscard]] bool push(T v) {
     if (heap_.size() >= capacity_) return false;
+    if (heap_.size() == heap_.capacity()) {
+      heap_.reserve(std::min(capacity_, std::max<std::size_t>(
+                                            2 * heap_.size(), kMinStorage)));
+    }
     heap_.push_back(std::move(v));
     reindex(heap_.size() - 1);
     sift_up(heap_.size() - 1);
@@ -230,9 +240,63 @@ class BoundedHeap {
     }
   }
 
+  static constexpr std::size_t kMinStorage = 8;  // first allocation, slots
+
   std::size_t capacity_;
   Before before_;
   std::vector<T> heap_;
+};
+
+/// FIFO queue over a vector and a head index.  Allocates nothing until the
+/// first push (std::deque allocates on construction, even when empty).
+/// Popped slots are reclaimed when the queue drains, or once they make up
+/// half the storage, so they never outnumber the live elements and
+/// pop_front() is amortized O(1).  Unbounded: callers enforce their own
+/// limits (LocalScheduler::Config::max_tasks).
+template <typename T>
+class Fifo {
+ public:
+  using iterator = typename std::vector<T>::iterator;
+  using const_iterator = typename std::vector<T>::const_iterator;
+
+  [[nodiscard]] bool empty() const { return head_ == items_.size(); }
+  [[nodiscard]] std::size_t size() const { return items_.size() - head_; }
+
+  void push_back(T v) { items_.push_back(std::move(v)); }
+
+  [[nodiscard]] T& front() {
+    assert(!empty());
+    return items_[head_];
+  }
+
+  void pop_front() {
+    assert(!empty());
+    ++head_;
+    if (head_ == items_.size()) {
+      items_.clear();
+      head_ = 0;
+    } else if (2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+  /// Remove the element at `it` (O(n)); returns the iterator after it.
+  iterator erase(const_iterator it) { return items_.erase(it); }
+
+  [[nodiscard]] iterator begin() {
+    return items_.begin() + static_cast<std::ptrdiff_t>(head_);
+  }
+  [[nodiscard]] iterator end() { return items_.end(); }
+  [[nodiscard]] const_iterator begin() const {
+    return items_.begin() + static_cast<std::ptrdiff_t>(head_);
+  }
+  [[nodiscard]] const_iterator end() const { return items_.end(); }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;  // index of the front element
 };
 
 }  // namespace hrt::rt

@@ -179,6 +179,25 @@ TEST(SchedEdge, ThreadLimitEnforced) {
       std::runtime_error);
 }
 
+TEST(SchedEdge, TaskLimitEnforced) {
+  // max_tasks bounds the sized and the unsized task queue separately.
+  System::Options o = quiet();
+  o.sched.max_tasks = 3;
+  System sys(std::move(o));
+  sys.boot();
+  for (const sim::Nanos size : {sim::micros(3), sim::Nanos{-1}}) {
+    for (int i = 0; i < 3; ++i) {
+      sys.kernel().submit_task(1, nk::Task{[] {}, size});
+    }
+    try {
+      sys.kernel().submit_task(1, nk::Task{[] {}, size});
+      ADD_FAILURE() << "fourth task of size " << size << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "LocalScheduler: task queue full");
+    }
+  }
+}
+
 // ---------- Interrupt thread overload ----------
 
 TEST(InterruptThreadEdge, BacklogGrowsWhenBottomHalfCannotKeepUp) {

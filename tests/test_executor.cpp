@@ -3,6 +3,8 @@
 // handling, run-span budget charging, device handlers, livelock guard.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "rt/system.hpp"
 
 namespace hrt {
@@ -222,6 +224,60 @@ TEST(Executor, ExitReapsIntoThreadPool) {
   // Thread object reused, not newly created.
   EXPECT_EQ(sys.kernel().threads_created(), created_before + 1);
   EXPECT_EQ(sys.kernel().pool_reuses(), 1u);
+}
+
+// Exits on its first action; counts its live instances.
+class CountedExitBehavior final : public nk::Behavior {
+ public:
+  explicit CountedExitBehavior(int& live) : live_(live) { ++live_; }
+  ~CountedExitBehavior() override { --live_; }
+  CountedExitBehavior(const CountedExitBehavior&) = delete;
+  CountedExitBehavior& operator=(const CountedExitBehavior&) = delete;
+  nk::Action next(nk::ThreadCtx&) override { return nk::Action::exit(); }
+
+ private:
+  int& live_;
+};
+
+TEST(Executor, ReusedThreadsReleaseTheirBehaviors) {
+  // Behaviors live as long as the thread objects that own them, so memory
+  // follows live threads, not total spawns.
+  System sys(quiet(2));
+  sys.boot();
+  int live = 0;
+  for (int i = 0; i < 1000; ++i) {
+    nk::Thread* t = sys.spawn(
+        "short" + std::to_string(i), std::make_unique<CountedExitBehavior>(live),
+        1);
+    sys.run_for(sim::millis(1));
+    ASSERT_EQ(t->state, nk::Thread::State::kPooled) << "spawn " << i;
+    ASSERT_LE(static_cast<std::size_t>(live),
+              sys.kernel().pool_size() + sys.kernel().num_cpus())
+        << "spawn " << i;
+  }
+  EXPECT_EQ(sys.kernel().pool_reuses(), 999u);
+}
+
+TEST(Executor, LiveThreadsSpanSeveralThreadSlabs) {
+  // Thread objects come from fixed-size slabs; enough spawns to fill
+  // several must still list every live thread exactly once.
+  System sys(quiet());
+  sys.boot();
+  const std::size_t idle = sys.kernel().num_cpus();
+  std::set<const nk::Thread*> spawned;
+  for (int i = 0; i < 150; ++i) {
+    spawned.insert(sys.spawn(
+        "busy" + std::to_string(i),
+        std::make_unique<nk::BusyLoopBehavior>(sim::micros(50)),
+        1 + static_cast<std::uint32_t>(i) % 3));
+  }
+  ASSERT_EQ(spawned.size(), 150u);
+  EXPECT_EQ(sys.kernel().threads_created(), idle + 150);
+  const auto live = sys.kernel().live_threads();
+  const std::set<const nk::Thread*> listed(live.begin(), live.end());
+  EXPECT_EQ(live.size(), idle + 150);
+  EXPECT_EQ(listed.size(), live.size());
+  for (const nk::Thread* t : spawned) EXPECT_EQ(listed.count(t), 1u);
 }
 
 TEST(Executor, YieldRotatesEqualPriorityThreads) {

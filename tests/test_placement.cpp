@@ -426,7 +426,7 @@ TEST(Group, AutoPlacementCoLocates) {
 
   sys.run_for(sim::millis(40));
   for (nk::Thread* t : members) {
-    auto* b = dynamic_cast<grp::GroupAdmitThenBehavior*>(t->behavior);
+    auto* b = dynamic_cast<grp::GroupAdmitThenBehavior*>(t->behavior.get());
     ASSERT_NE(b, nullptr);
     EXPECT_TRUE(b->protocol().succeeded());
     EXPECT_TRUE(admitted_rt(t));

@@ -1,8 +1,11 @@
 // BoundedHeap: correctness against a reference model, capacity bounds,
-// arbitrary removal, extract_if.
+// arbitrary removal, extract_if, growth of on-demand storage.  Fifo: order
+// against a reference model across compaction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <string>
 #include <vector>
 
 #include "rt/queues.hpp"
@@ -178,6 +181,62 @@ TEST(IndexedHeap, ExtractIfClearsIndex) {
   EXPECT_EQ(h.extract_if([](const Item*) { return true; }), std::nullopt);
 }
 
+// push() at capacity must fail and leave the contents, their positions and
+// every index untouched.
+void expect_full_push_rejected(IndexedHeap& h, Item* extra) {
+  ASSERT_EQ(h.size(), h.capacity());
+  std::vector<const Item*> before;
+  h.for_each([&before](const Item* it) { before.push_back(it); });
+  EXPECT_FALSE(h.push(extra));
+  std::vector<const Item*> after;
+  h.for_each([&after](const Item* it) { after.push_back(it); });
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(extra->heap_index.owner, nullptr);
+  EXPECT_FALSE(h.contains(extra));
+  std::string why;
+  EXPECT_TRUE(h.validate(&why)) << why;
+}
+
+TEST(IndexedHeap, GrowthKeepsIndexValidAndCapacityExact) {
+  // 100 is not a power of two, so doubling storage would overshoot it.
+  constexpr std::size_t kCap = 100;
+  std::vector<Item> items(kCap + 1);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    // Descending keys: every push sifts to the root, moving indexed
+    // elements while the storage grows through several reallocations.
+    items[i].key = static_cast<int>(items.size() - i);
+  }
+  Item& extra = items[kCap];
+  IndexedHeap h(kCap);
+  std::string why;
+  for (std::size_t i = 0; i < kCap; ++i) {
+    ASSERT_TRUE(h.push(&items[i]));
+    ASSERT_TRUE(h.validate(&why)) << "after push " << i << ": " << why;
+  }
+  EXPECT_EQ(h.top(), &items[kCap - 1]);
+  expect_full_push_rejected(h, &extra);
+
+  for (std::size_t i : {0u, 37u, 63u, 99u}) {
+    EXPECT_TRUE(h.contains(&items[i]));
+    EXPECT_TRUE(h.remove(&items[i]));
+    EXPECT_FALSE(h.contains(&items[i]));
+    EXPECT_FALSE(h.remove(&items[i]));
+    ASSERT_TRUE(h.validate(&why)) << why;
+  }
+  EXPECT_EQ(h.size(), kCap - 4);
+
+  // Refill after clear(), in ascending order this time.
+  h.clear();
+  for (const Item& it : items) EXPECT_EQ(it.heap_index.owner, nullptr);
+  for (std::size_t i = kCap; i-- > 0;) ASSERT_TRUE(h.push(&items[i]));
+  ASSERT_TRUE(h.validate(&why)) << why;
+  expect_full_push_rejected(h, &extra);
+  std::vector<int> out;
+  while (!h.empty()) out.push_back(h.pop()->key);
+  EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+  EXPECT_EQ(out.size(), kCap);
+}
+
 class IndexedHeapSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Property test: heap order, capacity, and index integrity (owner + position
@@ -270,6 +329,67 @@ TEST_P(IndexedHeapSweep, InvariantsUnderRandomOps) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexedHeapSweep,
                          ::testing::Values(3, 17, 29, 77, 424242));
+
+// ---------- Fifo ----------
+
+TEST(Fifo, OrderSurvivesCompaction) {
+  Fifo<int> q;
+  EXPECT_TRUE(q.empty());
+  for (int v = 1; v <= 4; ++v) q.push_back(v);
+  q.pop_front();
+  q.pop_front();  // half the storage is popped: compacts
+  q.push_back(5);
+  q.pop_front();  // 3
+  q.push_back(6);
+  EXPECT_EQ(std::vector<int>(q.begin(), q.end()), (std::vector<int>{4, 5, 6}));
+  EXPECT_EQ(q.front(), 4);
+  EXPECT_EQ(q.size(), 3u);
+  while (!q.empty()) q.pop_front();  // drained: storage resets
+  q.push_back(7);
+  EXPECT_EQ(q.front(), 7);
+  EXPECT_EQ(q.size(), 1u);
+}
+
+class FifoSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FifoSweep, MatchesReferenceModel) {
+  Fifo<int> q;
+  std::deque<int> model;
+  sim::Rng rng(GetParam());
+  int next = 0;
+  for (int step = 0; step < 5000; ++step) {
+    // Drift between growing and draining phases so the queue both compacts
+    // with live elements and drains to empty.
+    const double push_p = (step / 500) % 2 == 0 ? 0.6 : 0.35;
+    const double p = rng.next_double();
+    if (p < push_p) {
+      q.push_back(next);
+      model.push_back(next);
+      ++next;
+    } else if (p < 0.95 && !model.empty()) {
+      ASSERT_EQ(q.front(), model.front());
+      q.pop_front();
+      model.pop_front();
+    } else if (!model.empty()) {
+      const auto i = static_cast<std::ptrdiff_t>(
+          rng.uniform(0, static_cast<std::int64_t>(model.size()) - 1));
+      const auto it = q.erase(q.begin() + i);
+      const auto mit = model.erase(model.begin() + i);
+      ASSERT_EQ(it == q.end(), mit == model.end());
+      if (mit != model.end()) {
+        ASSERT_EQ(*it, *mit);
+      }
+    }
+    ASSERT_EQ(q.size(), model.size());
+    ASSERT_EQ(q.empty(), model.empty());
+    if (!model.empty()) {
+      ASSERT_EQ(q.front(), model.front());
+    }
+  }
+  EXPECT_TRUE(std::equal(q.begin(), q.end(), model.begin(), model.end()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FifoSweep, ::testing::Values(2, 11, 90210));
 
 }  // namespace
 }  // namespace hrt::rt
