@@ -42,12 +42,26 @@ System::Options cell_options(bool fast, int per_cpu) {
   return o;
 }
 
-/// Spec i of the workload: ~5e-4 utilization each, periods staggered so the
-/// sets are not degenerate.  The whole workload fits the machine, so the
-/// batch cell's all-or-nothing admission succeeds.
-rt::Constraints workload_spec(int i) {
+/// The most spawned threads one cell's System holds: thread stacks + TCBs
+/// come from the zone's buddy arena (nk::Kernel::Options defaults), and
+/// each CPU's idle thread takes one slot.  --full spawns exactly this many.
+int zone_thread_capacity() {
+  const nk::Kernel::Options k;
+  const std::uint64_t slots =
+      k.numa_zones * ((std::uint64_t{1} << k.zone_arena_max_order) /
+                      k.thread_state_bytes);
+  return static_cast<int>(slots) - static_cast<int>(kCpus);
+}
+
+/// Spec i of an n-spec workload: 50 us slices at n = 1024 (~5e-4
+/// utilization each), shrinking in proportion as n grows, with periods
+/// staggered so the sets are not degenerate.  At any n the whole workload
+/// takes about a third of the machine's RT capacity, so the batch cell's
+/// all-or-nothing admission succeeds.
+rt::Constraints workload_spec(int i, int n) {
   return rt::Constraints::periodic(
-      0, sim::millis(100) + (i % 7) * sim::micros(10), sim::micros(50));
+      0, sim::millis(100) + (i % 7) * sim::micros(10),
+      sim::micros(50) * 1024 / n);
 }
 
 std::unique_ptr<nk::Behavior> worker() {
@@ -68,7 +82,7 @@ CellResult run_serial(int n, bool fast) {
     std::uint64_t ok = 0;
     const auto t0 = Clock::now();
     for (int i = 0; i < n; ++i) {
-      const rt::Constraints c = workload_spec(i);
+      const rt::Constraints c = workload_spec(i, n);
       const std::uint32_t cpu = sys.placement().place(c);
       nk::Thread* t = sys.spawn("w" + std::to_string(i), worker(), cpu);
       if (sys.sched(cpu).reserve_constraints(*t, c)) ++ok;
@@ -91,7 +105,7 @@ CellResult run_batch(int n) {
       System::SpawnSpec sp;
       sp.name = "w" + std::to_string(i);
       sp.behavior = worker();
-      sp.constraints = workload_spec(i);
+      sp.constraints = workload_spec(i, n);
       specs.push_back(std::move(sp));
     }
     const auto t0 = Clock::now();
@@ -121,6 +135,7 @@ Percentiles percentiles(std::vector<double>& samples) {
 /// probe; the slow samples run the full analysis (probe_admission).
 void decision_latency(int depth, int samples, Percentiles* fast,
                       Percentiles* slow) {
+  const int n = depth * static_cast<int>(kCpus);  // the workload's size
   // Two identically-loaded systems: probe_admission honors fast_admission,
   // so the slow samples must come from a system with the word probe off.
   System fast_sys(cell_options(true, depth));
@@ -130,10 +145,10 @@ void decision_latency(int depth, int samples, Percentiles* fast,
   for (int i = 0; i < depth; ++i) {
     nk::Thread* tf = fast_sys.spawn("h" + std::to_string(i), worker(), 0);
     nk::Thread* ts = slow_sys.spawn("h" + std::to_string(i), worker(), 0);
-    (void)fast_sys.sched(0).reserve_constraints(*tf, workload_spec(i));
-    (void)slow_sys.sched(0).reserve_constraints(*ts, workload_spec(i));
+    (void)fast_sys.sched(0).reserve_constraints(*tf, workload_spec(i, n));
+    (void)slow_sys.sched(0).reserve_constraints(*ts, workload_spec(i, n));
   }
-  const rt::Constraints probe = workload_spec(0);
+  const rt::Constraints probe = workload_spec(0, n);
   std::vector<double> fast_ns, slow_ns;
   fast_ns.reserve(samples);
   slow_ns.reserve(samples);
@@ -156,7 +171,7 @@ void decision_latency(int depth, int samples, Percentiles* fast,
 
 int main(int argc, char** argv) {
   const bench::Args args = bench::parse_args(argc, argv);
-  const int n = args.full ? 4096 : 1024;
+  const int n = args.full ? zone_thread_capacity() : 1024;
 
   bench::header("ablate_spawn: batched spawn + lock-free admission fast path",
                 "amortized group admission; O(1) wait-free admit/reject probe");

@@ -29,6 +29,11 @@
 #                          baseline; this script fails on any post-failover
 #                          deadline miss or if failover availability is not
 #                          strictly above the baseline
+#   BENCH_timer_mode.json — ablate_timer_mode: APIC tick vs TSC-deadline
+#                          earliness + a kick landing when less of a slice
+#                          is left than one handler span; this script fails
+#                          if that cell takes more than 4 scheduler passes
+#                          per context switch (a stale-timer-fire livelock)
 #   BENCH_figures.json   — wall time + shape-check results per figure binary
 #
 # The committed PR-over-PR snapshots live in bench/snapshots/; refresh them
@@ -198,6 +203,29 @@ awk '
   }
 ' BENCH_cluster.json
 
+echo "== ablate_timer_mode -> BENCH_timer_mode.json"
+"$BIN/ablate_timer_mode" $MODE_FLAG --json=BENCH_timer_mode.json
+# Hard gate, host-independent: a re-arm retires the superseded latched timer
+# fire, so a kick landing in a thread's last 1.5 us of slice costs one extra
+# pass, not a pass livelock (docs/PERFORMANCE.md).  A missing field fails too.
+awk '
+  match($0, /"passes_per_switch": [0-9.eE+-]+/) {
+    found = 1
+    r = substr($0, RSTART + 21, RLENGTH - 21) + 0
+  }
+  END {
+    if (!found) {
+      print "error: passes_per_switch missing from BENCH_timer_mode.json"
+      exit 1
+    }
+    if (r > 4) {
+      printf "error: kick during residual budget took %.2f passes per switch (> 4)\n", r
+      exit 1
+    }
+    printf "kick during residual budget: %.2f passes per switch (<= 4)\n", r
+  }
+' BENCH_timer_mode.json
+
 FIGURES="fig03_tsc_sync fig04_scope_trace fig05_overheads fig06_missrate_phi \
 fig07_missrate_r415 fig08_misstime_phi fig09_misstime_r415 \
 fig10_group_admission fig11_group_sync8 fig12_group_sync_scale \
@@ -228,4 +256,4 @@ echo "== figure sweep -> BENCH_figures.json ($MODE mode)"
     "$HOST_CORES" "$HRT_GIT_SHA"
 } > BENCH_figures.json
 
-echo "wrote BENCH_engine.json BENCH_placement.json BENCH_smi_resilience.json BENCH_telemetry.json BENCH_spawn.json BENCH_cluster.json BENCH_figures.json"
+echo "wrote BENCH_engine.json BENCH_placement.json BENCH_smi_resilience.json BENCH_telemetry.json BENCH_spawn.json BENCH_cluster.json BENCH_timer_mode.json BENCH_figures.json"

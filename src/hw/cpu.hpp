@@ -9,8 +9,9 @@
 //
 // Vectors that cannot be delivered immediately are latched pending and
 // delivered, highest priority class first, as soon as the blocking condition
-// clears.  Actual handler timing/behavior belongs to the kernel layer, which
-// installs the deliver hook.
+// clears, unless software retracts the latch first (retract()).  Actual
+// handler timing/behavior belongs to the kernel layer, which installs the
+// deliver hook.
 #pragma once
 
 #include <bitset>
@@ -82,6 +83,12 @@ class Cpu {
 
   [[nodiscard]] bool has_pending() const { return pending_.any(); }
   [[nodiscard]] bool is_pending(Vector v) const { return pending_.test(v); }
+
+  /// Drop a latched, not yet delivered vector (no-op when none is latched).
+  /// Software acknowledges an interrupt it has already serviced this way:
+  /// the local scheduler retracts a superseded one-shot fire when it
+  /// re-arms the timer (DESIGN.md section 2).
+  void retract(Vector v) { pending_.reset(v); }
 
  private:
   void try_deliver() {

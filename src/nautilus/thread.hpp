@@ -42,6 +42,7 @@ class Thread {
     sim::Nanos arrival = 0;        // current arrival's time
     sim::Nanos deadline = 0;       // current arrival's deadline
     sim::Nanos budget_left = 0;    // slice remaining for this arrival
+    sim::Nanos budget_at_pass = 0;  // budget_left when a pass last chose it
     bool arrival_open = false;     // an arrival is being served
     bool in_pending = false;       // waiting for arrival time
     bool dispatched_this_arrival = false;

@@ -38,11 +38,11 @@
 namespace hrt::resilience {
 
 struct EstimatorConfig {
-  bool enabled = false;
   // Bucketing window for the windowed-max fraction.
   sim::Nanos window_ns = sim::millis(2);
   // Ring of completed windows considered by windowed_max_fraction().
   std::uint32_t windows_tracked = 8;
+  bool enabled = false;
   // EWMA smoothing over completed windows (higher = more reactive).
   double ewma_alpha = 0.25;
   // Lateness below this is attributed to handler/masking jitter, not SMIs.

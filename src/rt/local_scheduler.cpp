@@ -20,6 +20,9 @@ constexpr sim::Nanos kNoTimer = -1;
 constexpr double kLedgerEps = 1e-6;
 // Zero-delay one-shot re-arms in a row before the auditor calls it a storm.
 constexpr std::uint32_t kZeroArmStormThreshold = 64;
+// Timer passes in a row that find the current RT thread's residual slice
+// unchanged before the auditor calls it a pass livelock.
+constexpr std::uint32_t kStallPassThreshold = 64;
 }  // namespace
 
 LocalScheduler::LocalScheduler(nk::Kernel& kernel, std::uint32_t cpu,
@@ -53,6 +56,7 @@ LocalScheduler::LocalScheduler(nk::Kernel& kernel, std::uint32_t cpu,
 }
 
 void LocalScheduler::open_arrival(nk::Thread* t) {
+  ++budget_moves_;
   ++t->rt.arrivals;
   t->rt.arrival_open = true;
   t->rt.dispatched_this_arrival = false;
@@ -66,6 +70,7 @@ void LocalScheduler::open_arrival(nk::Thread* t) {
 }
 
 void LocalScheduler::close_arrival(nk::Thread* t, sim::Nanos now) {
+  ++budget_moves_;
   audit_budget(t, now);
   t->rt.arrival_open = false;
   ++t->rt.completions;
@@ -233,6 +238,33 @@ nk::PassResult LocalScheduler::pass(nk::PassReason reason, sim::Nanos now) {
     telemetry_->on_pass(cpu_, now, static_cast<int>(reason));
   }
 
+  // Progress watch: the current RT thread is "stalled" when its residual
+  // slice is what the previous pass (which chose it) left it, i.e. it has
+  // not run since.  Timer passes that keep finding it so are a pass
+  // livelock (a one-shot target that expires inside every handler it
+  // starts).
+  nk::Thread* cur = exec_->current();
+  const std::uint32_t budget_moves_at_entry = budget_moves_;
+  const bool cur_rt_open = cur != nullptr && cur->is_realtime() &&
+                           cur->rt.arrival_open &&
+                           cur->state == nk::Thread::State::kRunning;
+  const bool stalled =
+      cur_rt_open && cur->rt.budget_left == cur->rt.budget_at_pass;
+  if (!stalled) {
+    stall_streak_ = 0;
+  } else if (reason == nk::PassReason::kTimer &&
+             ++stall_streak_ >= kStallPassThreshold) {
+    stall_streak_ = 0;
+    if (auditor_ != nullptr && auditor_->enabled() &&
+        auditor_->config().check_timer) {
+      auditor_->record(audit::Invariant::kTimerArm, cpu_, now,
+                       "thread " + std::to_string(cur->id) + " made no "
+                       "progress across " +
+                           std::to_string(kStallPassThreshold) +
+                           " timer passes (pass livelock)");
+    }
+  }
+
   // Missing-time estimation (section 3.6, docs/RESILIENCE.md): a machine
   // freeze covering a pending timer fire delays its delivery; the lateness
   // observed here is the only software-visible footprint of an SMI.  The
@@ -268,7 +300,6 @@ nk::PassResult LocalScheduler::pass(nk::PassReason reason, sim::Nanos now) {
 
   // Account the current thread's real-time state.  The executor has already
   // charged its run span into budget_left.
-  nk::Thread* cur = exec_->current();
   if (cur != nullptr && cur->is_realtime() && cur->rt.arrival_open &&
       cur->state == nk::Thread::State::kRunning && cur->rt.budget_left <= 0) {
     close_arrival(cur, now);
@@ -285,6 +316,7 @@ nk::PassResult LocalScheduler::pass(nk::PassReason reason, sim::Nanos now) {
   nk::Thread* next = select_next(now, reason);
   audit_edf_order(next, now);
   if (next != cur) quantum_start_ = now;
+  quantum_expired_at_pass_ = now - quantum_start_ >= cfg_.aperiodic_quantum;
 
   nk::PassResult result;
   result.next = next;
@@ -324,6 +356,13 @@ nk::PassResult LocalScheduler::pass(nk::PassReason reason, sim::Nanos now) {
       expected_span_ = kernel_.machine().spec().freq.cycles_to_ns(span_cycles);
     }
   }
+
+  if (next == cur && budget_moves_ == budget_moves_at_entry &&
+      (!cur_rt_open || stalled)) {
+    ++stats_.idle_passes;
+    if (telemetry_ != nullptr) telemetry_->on_idle_pass(cpu_);
+  }
+  if (next != nullptr) next->rt.budget_at_pass = next->rt.budget_left;
   return result;
 }
 
@@ -338,9 +377,14 @@ void LocalScheduler::arm_timer(sim::Nanos now) {
     estimator_.note_span(now - pass_entry_ - expected_span_, now);
     pass_entry_ = kNoTimer;
   }
+  using telemetry::ArmTerm;
   sim::Nanos next = kNoTimer;
-  auto consider = [&next](sim::Nanos t) {
-    if (t >= 0 && (next < 0 || t < next)) next = t;
+  ArmTerm term = ArmTerm::kBudget;
+  auto consider = [&next, &term](sim::Nanos t, ArmTerm why) {
+    if (t >= 0 && (next < 0 || t < next)) {
+      next = t;
+      term = why;
+    }
   };
 
   nk::Thread* cur = exec_->current();
@@ -354,37 +398,56 @@ void LocalScheduler::arm_timer(sim::Nanos now) {
     // residual few nanoseconds of budget.  Arrivals/deadlines keep the
     // conservative early-never-late rule (handled by the APIC floor
     // quantization plus the pump slop).
-    consider(now + budget + slop_);
+    consider(now + budget + slop_, ArmTerm::kBudget);
   }
-  if (!pending_.empty()) consider(pending_.top()->rt.arrival);
-  if (!sleepers_.empty()) consider(sleepers_.top()->wake_time);
-  if (lazy_wake_ >= 0) consider(lazy_wake_);
+  if (!pending_.empty()) {
+    consider(pending_.top()->rt.arrival, ArmTerm::kArrival);
+  }
+  if (!sleepers_.empty()) {
+    consider(sleepers_.top()->wake_time, ArmTerm::kSleeper);
+  }
+  if (lazy_wake_ >= 0) consider(lazy_wake_, ArmTerm::kLazyWake);
   if (cur != nullptr && !cur->is_realtime() && !nonrt_.empty()) {
     // The rotation point can already be in the past: the quantum expired but
     // select_next kept the current thread (everything queued is lower
     // priority).  Re-arming at the stale target would fire a one-shot every
     // APIC tick forever; this pass already made the rotation decision for
-    // the elapsed quantum, so the next check is one full quantum out.
+    // the elapsed quantum, so the next check is one full quantum out.  A
+    // quantum that expired after the pass ran (inside its handler span) has
+    // not been decided yet; its past target arms at zero delay below.
     sim::Nanos rotation = quantum_start_ + cfg_.aperiodic_quantum;
-    if (rotation <= now && !cfg_.test_faults.rearm_past_quantum) {
+    if (quantum_expired_at_pass_ && !cfg_.test_faults.rearm_past_quantum) {
       rotation = now + cfg_.aperiodic_quantum;
     }
-    consider(rotation);
+    consider(rotation, ArmTerm::kRotation);
   }
   // Safety net: if RT work is queued but not current (e.g. the lazy
   // variant is holding), make sure a pass happens by its deadline.
   if (!rt_run_.empty() &&
       (cur == nullptr || !cur->is_realtime())) {
-    consider(rt_run_.top()->rt.deadline);
+    consider(rt_run_.top()->rt.deadline, ArmTerm::kRtSafetyNet);
   }
   // Missing-time watchdog: bound the arming gap so freezes are sampled at a
   // known rate even on an otherwise idle CPU.  The cadence adapts — quiet
   // normally, alert once the estimate is elevated (see estimator.hpp).
   if (cfg_.estimator.enabled) {
-    consider(now + estimator_.watchdog_period());
+    consider(now + estimator_.watchdog_period(), ArmTerm::kWatchdog);
   }
 
-  auto& apic = kernel_.machine().cpu(cpu_).apic();
+  // This handler has serviced the one-shot: a fire of the old target that
+  // landed while it ran is superseded by the arm below, so it is retracted
+  // rather than left latched to start a pass on a stale target.  Every term
+  // above is recomputed from current state (a target that already passed
+  // arms at zero delay), so the retracted fire loses no work.  Nor does the
+  // estimator lose a sample: the stale fire's pass would have found
+  // expected_fire_ already moved to the new target.  Left latched, a
+  // residual slice shorter than one handler span expires inside every
+  // handler it starts, and the CPU loops in passes (DESIGN.md section 2).
+  hw::Cpu& hw_cpu = kernel_.machine().cpu(cpu_);
+  if (!cfg_.test_faults.keep_stale_timer_latch) {
+    hw_cpu.retract(hw::kTimerVector);
+  }
+  auto& apic = hw_cpu.apic();
   if (next < 0) {
     apic.cancel();
     expected_fire_ = kNoTimer;
@@ -411,7 +474,8 @@ void LocalScheduler::arm_timer(sim::Nanos now) {
   }
   expected_fire_ = now + delay;
   armed_delay_ = delay;
-  if (telemetry_ != nullptr) telemetry_->on_timer_arm(cpu_, now, delay);
+  ++stats_.arms_by_term[static_cast<std::size_t>(term)];
+  if (telemetry_ != nullptr) telemetry_->on_timer_arm(cpu_, now, delay, term);
   apic.arm_oneshot(delay);
 }
 

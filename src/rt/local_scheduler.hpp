@@ -37,6 +37,7 @@
 #include "rt/constraints.hpp"
 #include "rt/fixed_point.hpp"
 #include "rt/queues.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace hrt::audit {
 class Auditor;
@@ -92,8 +93,8 @@ class LocalScheduler final : public nk::SchedulerBase {
     // admission is on, the admission test subtracts the estimated stolen
     // fraction (plus a reserve) from the available RT utilization.
     resilience::EstimatorConfig estimator;
-    bool degraded_admission = false;
     double resilience_reserve = 0.0;
+    bool degraded_admission = false;
 
     /// Deliberately re-introduce fixed bugs so the auditor's regression
     /// tests can prove each one is caught (test_audit.cpp); never set
@@ -113,6 +114,10 @@ class LocalScheduler final : public nk::SchedulerBase {
       // *original* CPU instead of the target, leaking the target's held
       // utilization (the spawn_auto admit-retry rollback bug).
       bool migration_rollback_wrong_cpu = false;
+      // A re-arm leaves latched a one-shot fire that landed while the
+      // handler had interrupts masked, so the superseded fire still starts
+      // a pass (the stale-timer-fire livelock).
+      bool keep_stale_timer_latch = false;
     };
     TestFaults test_faults;
   };
@@ -130,6 +135,11 @@ class LocalScheduler final : public nk::SchedulerBase {
     std::uint64_t tasks_inline = 0;
     std::uint64_t rr_rotations = 0;
     std::uint64_t zero_delay_arms = 0;  // one-shot armed with zero delay
+    // One-shot arms by the term that set the target (timer provenance).
+    telemetry::ArmTermCounts arms_by_term{};
+    // Passes that neither switched nor moved any budget: no arrival opened
+    // or closed, and no RT slice was charged since the previous pass.
+    std::uint64_t idle_passes = 0;
     std::uint64_t migrations_requested = 0;  // request_migration accepted
     std::uint64_t migrations_out = 0;        // hand-offs completed from here
     std::uint64_t migrations_in = 0;         // hand-offs landed here
@@ -299,8 +309,17 @@ class LocalScheduler final : public nk::SchedulerBase {
   void audit_edf_order(const nk::Thread* next, sim::Nanos now);
   void audit_budget(const nk::Thread* t, sim::Nanos now);
 
+  // Layout: every System allocates one LocalScheduler per CPU, and glibc
+  // serves chunks of 1024 bytes and up from its sorted large bins.  Past
+  // that size a telemetry-off Phi boot measured ~20 us (~15%) slower, so
+  // keep sizeof at most 1000 bytes: small members fill padding holes.
   nk::Kernel& kernel_;
   std::uint32_t cpu_;
+  // Timer passes in a row that found the current RT thread's residual slice
+  // as the previous pass left it (a pass livelock; audited under kTimerArm).
+  std::uint16_t stall_streak_ = 0;
+  // The latest pass saw the current thread's aperiodic quantum expired.
+  bool quantum_expired_at_pass_ = false;
   Config cfg_;
   nk::CpuExecutor* exec_ = nullptr;
   sim::Nanos slop_;  // timer earliness tolerance (one APIC tick)
@@ -309,6 +328,7 @@ class LocalScheduler final : public nk::SchedulerBase {
   telemetry::Telemetry* telemetry_ = nullptr;    // flight recorder; may be null
   sim::Nanos budget_audit_slop_ = 0;   // tolerance for the budget invariant
   std::uint32_t zero_arm_streak_ = 0;  // consecutive zero-delay one-shots
+  std::uint32_t budget_moves_ = 0;  // arrivals opened + closed (wraps)
 
   // Intrusively indexed: a thread knows which of these heaps holds it, so
   // remove()/detach are O(log n) and cross-queue probes are O(1) misses.

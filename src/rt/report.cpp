@@ -1,5 +1,7 @@
 #include "rt/report.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <iomanip>
 #include <vector>
 
@@ -61,6 +63,31 @@ void print_cpu_report(System& sys, std::ostream& os,
        << std::setw(6) << sched.pending_count() << std::setw(5)
        << sched.rt_run_count() << std::setw(5) << sched.nonrt_count()
        << std::setw(10) << std::setprecision(0) << oh.pass.mean() << "\n";
+  }
+
+  // Timer provenance: the term that set each one-shot target, and the
+  // passes that neither switched nor moved any budget.  A CPU whose passes
+  // are mostly idle, with one term arming nearly every pass, is looping on
+  // that target.
+  auto term_width = [](std::size_t k) {
+    const std::size_t n = std::strlen(
+        telemetry::arm_term_name(static_cast<telemetry::ArmTerm>(k)));
+    return static_cast<int>(std::max<std::size_t>(n + 1, 9));
+  };
+  os << "cpu idle-pass";
+  for (std::size_t k = 0; k < telemetry::kArmTermCount; ++k) {
+    os << std::setw(term_width(k))
+       << telemetry::arm_term_name(static_cast<telemetry::ArmTerm>(k));
+  }
+  os << "\n";
+  for (std::uint32_t c = 0; c < sys.kernel().num_cpus(); ++c) {
+    const auto& st = sys.sched(c).stats();
+    if (opt.skip_quiet_cpus && st.passes < 2) continue;
+    os << std::setw(3) << c << std::setw(10) << st.idle_passes;
+    for (std::size_t k = 0; k < telemetry::kArmTermCount; ++k) {
+      os << std::setw(term_width(k)) << st.arms_by_term[k];
+    }
+    os << "\n";
   }
 }
 

@@ -17,8 +17,9 @@ struct ReportOptions {
   bool skip_quiet_cpus = true;
 };
 
-/// Per-CPU table: passes (timer/kick), switches, admissions, admitted
-/// utilization, queue depths, overhead means.
+/// Per-CPU tables: passes (timer/kick), switches, admissions, admitted
+/// utilization, queue depths, overhead means; then idle passes and one-shot
+/// arms by the term that set the target (timer provenance).
 void print_cpu_report(System& sys, std::ostream& os,
                       const ReportOptions& opt = {});
 

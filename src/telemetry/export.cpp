@@ -268,7 +268,12 @@ void write_metrics_json(std::ostream& os, const Telemetry& tel,
     const CpuMetrics& cm = m.cpu(c);
     os << "    {\"cpu\": " << c << ", \"passes\": " << cm.passes
        << ", \"switches\": " << cm.switches << ", \"kicks\": " << cm.kicks
-       << ", \"timer_arms\": " << cm.timer_arms
+       << ", \"timer_arms\": " << cm.timer_arms << ", \"arms_by_term\": {";
+    for (std::size_t k = 0; k < kArmTermCount; ++k) {
+      os << (k == 0 ? "\"" : ", \"") << arm_term_name(static_cast<ArmTerm>(k))
+         << "\": " << cm.arms_by_term[k];
+    }
+    os << "}, \"idle_passes\": " << cm.idle_passes
        << ", \"admits_ok\": " << cm.admits_ok
        << ", \"admits_rejected\": " << cm.admits_rejected
        << ", \"completions\": " << cm.completions

@@ -7,6 +7,7 @@
 // host-side state; nothing here charges simulated time.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -96,12 +97,38 @@ struct ThreadMetrics {
   LogHistogram lateness_ns;
 };
 
+/// The term that set a local scheduler's one-shot target
+/// (rt::LocalScheduler::arm_timer arms at the earliest of them).  Ties go to
+/// the earlier term in this order.
+enum class ArmTerm : std::uint8_t {
+  kBudget,       // current RT thread's residual slice
+  kArrival,      // next pending periodic arrival
+  kSleeper,      // next sleeper wake
+  kLazyWake,     // lazy EDF latest-start point
+  kRotation,     // aperiodic round-robin quantum end
+  kRtSafetyNet,  // deadline of queued, not current, RT work
+  kWatchdog,     // missing-time sampling watchdog
+};
+inline constexpr std::size_t kArmTermCount = 7;
+using ArmTermCounts = std::array<std::uint64_t, kArmTermCount>;
+
+/// snake_case name used by rt::report and the hrt-metrics-v1 export.
+[[nodiscard]] constexpr const char* arm_term_name(ArmTerm t) {
+  constexpr const char* kNames[kArmTermCount] = {
+      "budget",   "arrival",       "sleeper", "lazy_wake",
+      "rotation", "rt_safety_net", "watchdog"};
+  return kNames[static_cast<std::size_t>(t)];
+}
+
 /// Per-CPU gauges and monotonic counters.
 struct CpuMetrics {
   std::uint64_t passes = 0;
   std::uint64_t switches = 0;
   std::uint64_t kicks = 0;
   std::uint64_t timer_arms = 0;
+  ArmTermCounts arms_by_term{};  // timer_arms split by winning ArmTerm
+  std::uint64_t idle_passes = 0;  // passes that neither switched nor
+                                  // moved any budget
   std::uint64_t admits_ok = 0;
   std::uint64_t admits_rejected = 0;
   std::uint64_t completions = 0;

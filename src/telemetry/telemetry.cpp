@@ -67,10 +67,17 @@ void Telemetry::on_kick(std::uint32_t cpu, sim::Nanos now) {
 }
 
 void Telemetry::on_timer_arm(std::uint32_t cpu, sim::Nanos now,
-                             sim::Nanos delay) {
+                             sim::Nanos delay, ArmTerm term) {
   if (!cfg_.enabled) return;
-  ++metrics_->cpu(cpu).timer_arms;
+  CpuMetrics& m = metrics_->cpu(cpu);
+  ++m.timer_arms;
+  ++m.arms_by_term[static_cast<std::size_t>(term)];
   recorder_->record(cpu, EventKind::kTimerArm, now, 0, delay);
+}
+
+void Telemetry::on_idle_pass(std::uint32_t cpu) {
+  if (!cfg_.enabled) return;
+  ++metrics_->cpu(cpu).idle_passes;
 }
 
 void Telemetry::on_admit(std::uint32_t cpu, sim::Nanos now, std::uint32_t tid,

@@ -68,7 +68,11 @@ class Telemetry {
   void on_pass_span(std::uint32_t cpu, double span_ns);
   void on_switch(std::uint32_t cpu, sim::Nanos now, std::uint32_t tid);
   void on_kick(std::uint32_t cpu, sim::Nanos now);
-  void on_timer_arm(std::uint32_t cpu, sim::Nanos now, sim::Nanos delay);
+  /// One-shot armed `delay` ns out; `term` set the target.
+  void on_timer_arm(std::uint32_t cpu, sim::Nanos now, sim::Nanos delay,
+                    ArmTerm term);
+  /// A pass that neither switched nor moved any budget (metrics only).
+  void on_idle_pass(std::uint32_t cpu);
   void on_admit(std::uint32_t cpu, sim::Nanos now, std::uint32_t tid, bool ok,
                 double util);
   /// Arrival close.  `lateness` is signed: > 0 is a deadline miss by that

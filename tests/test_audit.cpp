@@ -325,6 +325,132 @@ TEST(TimerArm, SeededStormIsCaughtByTimerAudit) {
   EXPECT_GE(sys.sched(1).stats().zero_delay_arms, 64u);
 }
 
+// ---------- Bugfix: a re-arm retires the superseded latched fire ----------
+
+struct ResidualKickRun {
+  std::uint64_t windows = 0;      // kicked periods
+  std::uint64_t completions = 0;  // arrivals closed in those periods
+  std::uint64_t passes = 0;       // CPU 1 scheduler passes in them
+  sim::Nanos cpu_ns = 0;          // CPU time the thread got in them
+  bool threw_timer_arm = false;   // a throwing auditor stopped the run
+};
+
+/// One periodic thread (tau 1 ms, sigma 100 us) on CPU 1, and a kick that
+/// lands in every period when 1.5 us of the slice is left: less than one
+/// scheduler handler span (~3.4 us on Phi).  The kick handler's budget
+/// one-shot then expires inside the handler it starts, and so does every
+/// later one unless the re-arm retracts the latched fire.
+ResidualKickRun run_residual_kick(System& sys, std::uint64_t windows) {
+  const sim::Nanos period = sim::millis(1);
+  const sim::Nanos slice = sim::micros(100);
+  const sim::Nanos residual = 1500;
+  sys.boot();
+  nk::Thread* t = sys.spawn(
+      "rt", rt_worker(rt::Constraints::periodic(sim::micros(200), period,
+                                                slice)),
+      1);
+  // Unkicked periods first: they measure arrival -> dispatch latency.
+  sys.run_for(sim::millis(3));
+  const auto dispatch = static_cast<sim::Nanos>(t->rt.switch_latency.mean());
+  sys.sync_accounting();
+  ResidualKickRun r;
+  r.windows = windows;
+  const std::uint64_t completions0 = t->rt.completions;
+  const std::uint64_t passes0 = sys.sched(1).stats().passes;
+  const sim::Nanos cpu0 = t->total_cpu_ns;
+  // Arrivals are on CPU 1's wall clock; kicks are engine events.
+  const sim::Nanos skew =
+      sys.kernel().executor(1).wall_now() - sys.engine().now();
+  const sim::Nanos first =
+      (t->rt.arrival_open ? t->rt.arrival + period : t->rt.arrival) - skew;
+  for (std::uint64_t k = 0; k < windows; ++k) {
+    const sim::Nanos arrival = first + static_cast<sim::Nanos>(k) * period;
+    sys.engine().schedule_at(
+        arrival + dispatch + slice - residual,
+        [&sys] { sys.machine().cpu(1).raise(hw::kKickVector); },
+        sim::EventBand::kHardware);
+  }
+  try {
+    sys.run_until(first + static_cast<sim::Nanos>(windows) * period -
+                  period / 2);
+  } catch (const audit::AuditError& e) {
+    EXPECT_EQ(e.invariant(), audit::Invariant::kTimerArm) << e.what();
+    r.threw_timer_arm = true;
+  }
+  sys.sync_accounting();
+  r.completions = t->rt.completions - completions0;
+  r.passes = sys.sched(1).stats().passes - passes0;
+  r.cpu_ns = t->total_cpu_ns - cpu0;
+  return r;
+}
+
+TEST(StaleTimerLatch, KickDuringResidualBudgetDeliversEverySlice) {
+  System sys(audited(2));
+  const ResidualKickRun r = run_residual_kick(sys, 20);
+  EXPECT_EQ(r.completions, r.windows);
+  // Per period: arrival, kick, budget exhaustion.
+  EXPECT_LE(r.passes, 4 * r.windows);
+  EXPECT_NEAR(static_cast<double>(r.cpu_ns) / static_cast<double>(r.windows),
+              100e3, 1e3);
+  EXPECT_EQ(sys.auditor().total_violations(), 0u);
+}
+
+TEST(StaleTimerLatch, SeededFaultLivelocksAndIsCaughtByTimerAudit) {
+  // The first kicked arrival never gets its last 1.5 us: the CPU loops in
+  // timer passes.  A throwing auditor stops the loop at its first streak.
+  for (const bool throwing : {false, true}) {
+    System::Options o = audited(2);
+    o.audit.throw_on_violation = throwing;
+    o.sched.test_faults.keep_stale_timer_latch = true;
+    System sys(std::move(o));
+    const ResidualKickRun r = run_residual_kick(sys, 20);
+    EXPECT_EQ(r.completions, 0u);
+    EXPECT_GE(sys.auditor().count(audit::Invariant::kTimerArm), 1u);
+    EXPECT_EQ(r.threw_timer_arm, sys.auditor().config().throw_on_violation);
+    if (!r.threw_timer_arm) EXPECT_GT(r.passes, 100 * r.windows);
+  }
+}
+
+TEST(StaleTimerLatch, QuantumExpiringInsideAHandlerStillRotates) {
+  // Two equal-priority aperiodic threads share CPU 1.  A kick starts a
+  // handler just before the running thread's quantum ends, so the quantum
+  // expires after that handler's pass but before its re-arm.  The re-arm
+  // retracts the rotation fire; the rotation must still happen right
+  // after the handler, not one whole quantum later.
+  System::Options o = audited(2);
+  const sim::Nanos quantum = sim::micros(500);
+  o.sched.aperiodic_quantum = quantum;
+  System sys(std::move(o));
+  sys.boot();
+  sys.spawn("a", std::make_unique<nk::BusyLoopBehavior>(sim::millis(2)), 1);
+  sys.spawn("b", std::make_unique<nk::BusyLoopBehavior>(sim::millis(2)), 1);
+  sys.run_for(sim::millis(2));
+
+  // Find a switch to the nearest 250 ns, then kick so that the quantum's
+  // end (the switching pass ran one handler span, ~4.3 us, before the
+  // switch) falls inside the kick handler (~3.4 us).
+  auto& exec = sys.kernel().executor(1);
+  const nk::Thread* before = exec.current();
+  const sim::Nanos give_up = sys.engine().now() + 2 * quantum;
+  while (exec.current() == before && sys.engine().now() < give_up) {
+    sys.run_for(250);
+  }
+  ASSERT_NE(exec.current(), before);
+  const nk::Thread* running = exec.current();
+  const sim::Nanos switched = sys.engine().now();
+  sys.engine().schedule_at(
+      switched + quantum - 6000,
+      [&sys] { sys.machine().cpu(1).raise(hw::kKickVector); },
+      sim::EventBand::kHardware);
+  while (exec.current() == running &&
+         sys.engine().now() < switched + 3 * quantum) {
+    sys.run_for(250);
+  }
+  EXPECT_NE(exec.current(), running);
+  EXPECT_LT(sys.engine().now() - switched, quantum + sim::micros(20));
+  EXPECT_EQ(sys.auditor().total_violations(), 0u);
+}
+
 // ---------- EDF replay oracle ----------
 
 struct ReplayFixtureResult {

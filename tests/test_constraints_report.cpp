@@ -82,6 +82,42 @@ TEST(Report, ContainsThreadsAndCpus) {
   EXPECT_EQ(out.find("\n  2 "), std::string::npos);
 }
 
+TEST(Report, TimerProvenanceCountsArmsByTerm) {
+  System::Options o;
+  o.spec = hw::MachineSpec::phi_small(4);
+  o.smi_enabled = false;
+  System sys(std::move(o));
+  sys.boot();
+  auto b = std::make_unique<nk::FnBehavior>(
+      [](nk::ThreadCtx&, std::uint64_t step) {
+        if (step == 0) {
+          return nk::Action::change_constraints(Constraints::periodic(
+              sim::millis(1), sim::micros(200), sim::micros(60)));
+        }
+        return nk::Action::compute(sim::micros(20));
+      });
+  sys.spawn("reporter", std::move(b), 1, 10);
+  sys.run_for(sim::millis(20));
+
+  // A lone periodic thread arms for its arrivals and its budget ends only,
+  // and every pass either switches or opens/closes an arrival.
+  const auto& st = sys.sched(1).stats();
+  using telemetry::ArmTerm;
+  const auto arms = [&st](ArmTerm t) {
+    return st.arms_by_term[static_cast<std::size_t>(t)];
+  };
+  EXPECT_GT(arms(ArmTerm::kBudget), 50u);
+  EXPECT_GT(arms(ArmTerm::kArrival), 50u);
+  EXPECT_EQ(arms(ArmTerm::kRotation), 0u);
+  EXPECT_EQ(arms(ArmTerm::kWatchdog), 0u);
+  EXPECT_LE(st.idle_passes, 2u);
+
+  std::ostringstream os;
+  print_cpu_report(sys, os);
+  EXPECT_NE(os.str().find("idle-pass"), std::string::npos);
+  EXPECT_NE(os.str().find("rt_safety_net"), std::string::npos);
+}
+
 TEST(Report, IdleThreadsHiddenByDefault) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(4);

@@ -54,6 +54,34 @@ TEST(MetricsDiff, ParsesRealSnapshotIntoFlatKeys) {
   EXPECT_GT(snap.values.at("recorder.written"), 0.0);
 }
 
+TEST(MetricsDiff, TimerProvenanceFieldsMatchSchedulerStats) {
+  System sys(telemetered());
+  sys.boot();
+  sys.spawn("web", rt_worker(rt::Constraints::periodic(
+                       sim::millis(1), sim::millis(1), sim::micros(200))), 1);
+  sys.spawn("bg", std::make_unique<nk::BusyLoopBehavior>(sim::millis(1)), 1);
+  sys.run_for(sim::millis(20));
+
+  const MetricsSnapshot snap = parse_metrics_snapshot(snapshot_json(sys));
+  ASSERT_TRUE(snap.ok) << snap.error;
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    const auto& st = sys.sched(c).stats();
+    const std::string cpu = "cpu." + std::to_string(c) + ".";
+    double arms = 0;
+    for (std::size_t k = 0; k < kArmTermCount; ++k) {
+      const std::string key = cpu + "arms_by_term." +
+                              arm_term_name(static_cast<ArmTerm>(k));
+      EXPECT_EQ(snap.values.at(key), static_cast<double>(st.arms_by_term[k]))
+          << key;
+      arms += snap.values.at(key);
+    }
+    EXPECT_EQ(arms, snap.values.at(cpu + "timer_arms"));
+    EXPECT_EQ(snap.values.at(cpu + "idle_passes"),
+              static_cast<double>(st.idle_passes));
+  }
+  EXPECT_GT(snap.values.at("cpu.1.arms_by_term.budget"), 0.0);
+}
+
 TEST(MetricsDiff, DiffReportsDeltasAndNewRows) {
   System sys(telemetered());
   sys.boot();
