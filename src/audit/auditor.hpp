@@ -16,8 +16,10 @@
 //     queued thread's State matches its queue.
 //   * budget: an arrival is never charged more than sigma plus the timer
 //     slop (and, when SMIs are enabled, a bounded missing-time allowance).
-//   * utilization: the admitted_periodic/sporadic ledgers equal the sums
-//     recomputed from the live thread set after every admit/exit/change.
+//   * utilization: the committed Q32.32 word (the CPU's only committed-
+//     utilization state, which the placement and cluster ledgers read)
+//     equals the exact sum of the live admitted demands' quanta, and the
+//     sporadic and reserved ledgers equal their recomputed sums.
 //   * edf-order: the eager engine never dispatches a later-deadline open RT
 //     thread while an earlier-deadline one sits in the run queue.
 //   * timer-arm: the one-shot timer is never re-armed at zero delay an
@@ -25,9 +27,6 @@
 //   * group: barrier arrivals/departures never exceed the expected count.
 //   * replay: divergence found by the offline EDF replay oracle
 //     (audit/replay.hpp) against a recorded trace.
-//   * placement-ledger: the global placement subsystem's per-CPU utilization
-//     ledger (global/ledger.hpp) equals the owning scheduler's own
-//     admitted_periodic + sporadic ledgers.
 //   * migration: every thread queued on a scheduler is owned by that CPU
 //     (t->cpu agrees), and job-boundary migration hand-offs never fail
 //     despite holding a reservation on the target.
@@ -35,15 +34,10 @@
 //     matches the live thread it names (idle-priority aperiodic while shed;
 //     records never dangle past thread exit/reuse).
 //   * effective-capacity: the per-CPU capacity published to the placement
-//     ledger equals the controller's degraded value (base - missing-time
-//     EWMA - reserve) and never exceeds the configured base capacity.
+//     ledger never exceeds the configured base capacity.
 //   * slo-budget: a declared telemetry SLO (telemetry/slo.hpp) burned its
 //     deadline-miss budget — the windowed miss fraction reached the budget
 //     while the monitor had enough samples to trust the estimate.
-//   * cluster-ledger: the cluster controller's cached per-node rollup
-//     (cluster/ledger.hpp) diverged from the sums recomputed live from the
-//     node's own lock-free UtilizationLedger words, or a down node still
-//     published non-zero capacity.
 //
 // Compile with -DHRT_FORCE_AUDIT=1 (CMake option HRT_FORCE_AUDIT) to force
 // every Auditor into enabled+throwing mode regardless of runtime config;
@@ -68,13 +62,14 @@ enum class Invariant : std::uint8_t {
   kTimerArm,
   kGroup,
   kReplay,
-  kPlacementLedger,
   kMigration,
   kShedState,
   kEffectiveCapacity,
-  kSloBudget,
-  kClusterLedger,
+  kSloBudget,  // keep last: Auditor sizes its counters from it
 };
+
+inline constexpr std::size_t kNumInvariants =
+    static_cast<std::size_t>(Invariant::kSloBudget) + 1;
 
 [[nodiscard]] const char* invariant_name(Invariant inv);
 
@@ -107,12 +102,10 @@ struct Config {
   bool check_edf_order = true;
   bool check_timer = true;
   bool check_group = true;
-  bool check_placement_ledger = true;
   bool check_migration = true;
   bool check_shed_state = true;
   bool check_effective_capacity = true;
   bool check_slo = true;
-  bool check_cluster_ledger = true;
   /// Violations recorded verbatim; beyond this only the counter grows.
   std::size_t max_recorded = 64;
   /// Extra tolerance for the budget-conservation check, on top of the
@@ -153,7 +146,7 @@ class Auditor {
   std::vector<Violation> violations_;
   std::uint64_t total_violations_ = 0;
   std::uint64_t checks_run_ = 0;
-  std::uint64_t per_invariant_[13] = {};
+  std::uint64_t per_invariant_[kNumInvariants] = {};
 };
 
 }  // namespace hrt::audit

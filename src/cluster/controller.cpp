@@ -104,9 +104,10 @@ ClusterController::ClusterController(Options opt)
     o.seed += i;  // decorrelate nodes, stay reproducible
     nodes_[i].sys = std::make_unique<hrt::System>(std::move(o));
     nodes_[i].sys->boot();
+    ledger_.bind(i, &nodes_[i].sys->placement().ledger(),
+                 &nodes_[i].sys->resilience(), &nodes_[i].state);
     emit(i, telemetry::EventKind::kNodeUp, 0, 0);
   }
-  refresh_ledger();
 }
 
 ClusterController::~ClusterController() = default;
@@ -193,7 +194,7 @@ void ClusterController::restore_node(std::uint32_t node) {
 void ClusterController::tick(sim::Nanos dt) {
   ++stats_.ticks;
   detect_failures();
-  refresh_ledger();
+  gc_evictions();
   progress_drains();
   update_job_states();
   coordinate_overload();
@@ -201,7 +202,6 @@ void ClusterController::tick(sim::Nanos dt) {
   if (opt_.preemption) enforce_best_effort_slots();
   if (opt_.backfill) backfill_best_effort();
   account_availability(dt);
-  audit_ledger();
 }
 
 void ClusterController::detect_failures() {
@@ -241,11 +241,10 @@ void ClusterController::detect_failures() {
   }
 }
 
-void ClusterController::refresh_ledger() {
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    Node& n = nodes_[i];
-    // GC eviction records whose threads all exited: their utilization is in
-    // the rollup again, so they stop counting as prospective headroom.
+void ClusterController::gc_evictions() {
+  for (Node& n : nodes_) {
+    // GC eviction records whose threads all exited: their utilization is
+    // out of the rollup, so they stop counting as prospective headroom.
     n.shed_credit = 0.0;
     auto& ev = n.evictions;
     ev.erase(std::remove_if(ev.begin(), ev.end(),
@@ -260,14 +259,6 @@ void ClusterController::refresh_ledger() {
                             }),
              ev.end());
     for (const auto& r : ev) n.shed_credit += r.demand;
-    ledger_.refresh(i, n.sys->placement().ledger(), &n.sys->resilience(),
-                    n.state);
-  }
-  if (opt_.test_faults.corrupt_rollup) {
-    // Seeded fault: one raw ulp of divergence between the cache and the
-    // live words; the tick's audit must catch it (refresh heals it next
-    // tick, so every violation traces back to this line).
-    ledger_.corrupt_committed(0, 1);
   }
 }
 
@@ -344,8 +335,9 @@ void ClusterController::coordinate_overload() {
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     Node& n = nodes_[i];
     if (n.state != NodeState::kUp) continue;
-    const double over = ledger_.committed(i) - node_effective_capacity(i) -
-                        n.shed_credit;
+    const ClusterLedger::Entry e = ledger_.entry(i);
+    const double over = rt::fp::to_double(e.committed) -
+                        effective_capacity(e) - n.shed_credit;
     if (over <= 1e-9) continue;
     Job* victim = nullptr;
     for (Job& j : jobs_) {
@@ -470,14 +462,6 @@ void ClusterController::account_availability(sim::Nanos dt) {
   }
 }
 
-void ClusterController::audit_ledger() {
-  if (!auditor_->enabled() || !auditor_->config().check_cluster_ledger) return;
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    ledger_.audit_node(*auditor_, now_, i, nodes_[i].sys->placement().ledger(),
-                       &nodes_[i].sys->resilience());
-  }
-}
-
 // --- placement mechanics ---------------------------------------------------
 
 double ClusterController::job_demand(const Job& j) const {
@@ -499,13 +483,19 @@ bool ClusterController::node_placeable(std::uint32_t node) const {
 }
 
 double ClusterController::node_effective_capacity(std::uint32_t node) const {
-  double cap = ledger_.capacity(node);
-  if (ledger_.storm_flagged(node)) cap *= opt_.storm_derate;
+  return effective_capacity(ledger_.entry(node));
+}
+
+double ClusterController::effective_capacity(
+    const ClusterLedger::Entry& e) const {
+  double cap = rt::fp::to_double(e.capacity);
+  if (e.storm_cpus > 0) cap *= opt_.storm_derate;
   return cap;
 }
 
 double ClusterController::node_headroom(std::uint32_t node) const {
-  const double h = node_effective_capacity(node) - ledger_.committed(node) -
+  const ClusterLedger::Entry e = ledger_.entry(node);
+  const double h = effective_capacity(e) - rt::fp::to_double(e.committed) -
                    nodes_[node].inflight;
   return h > 0.0 ? h : 0.0;
 }

@@ -13,9 +13,10 @@
 //   1. failure detection — a node whose engine stalled before the tick
 //      boundary missed its heartbeat; mark it down, fence its placements
 //      (zombie eviction flags, for a later restore), and re-queue its jobs.
-//   2. ledger refresh — roll each node's per-CPU committed/capacity words
-//      into the ClusterLedger (exact raw sums; storm-degraded capacities
-//      propagate cluster-wide here).
+//   2. eviction GC — drop eviction records whose threads all exited and
+//      recompute each node's shed credit.  The ClusterLedger itself needs
+//      no refresh: it sums the node's live per-CPU words on every read
+//      (exact raw sums; storm-degraded capacities propagate cluster-wide).
 //   3. drain progress — make-before-break: re-place each job still on a
 //      draining node, evict the original only after the replacement landed.
 //   4. job state tracking — in-flight admissions resolve to running (or
@@ -31,7 +32,7 @@
 //   7. best-effort preemption + backfill — BE jobs occupy slack-derived
 //      slots; RT demand shrinking a node's slack preempts BE jobs off it,
 //      and pending BE jobs backfill wherever slots remain.
-//   8. availability accounting + kClusterLedger audit.
+//   8. availability accounting.
 #pragma once
 
 #include <atomic>
@@ -76,16 +77,10 @@ class ClusterController {
     /// capacity (the node's own publication is already degraded; < 1.0 adds
     /// cluster-level caution).
     double storm_derate = 1.0;
-    /// Controller-level audits (kClusterLedger) and telemetry.  The
+    /// Controller-level audits (the SLO budget) and telemetry.  The
     /// telemetry hub's rings are indexed by NODE id, not CPU id.
     audit::Config audit{};
     telemetry::Config telemetry{};
-    struct TestFaults {
-      /// Corrupt node 0's cached committed rollup by one raw ulp right
-      /// before the next tick's audit (seeded fault for the kClusterLedger
-      /// regression test).
-      bool corrupt_rollup = false;
-    } test_faults;
   };
 
   struct JobInfo {
@@ -230,7 +225,7 @@ class ClusterController {
 
   void tick(sim::Nanos dt);
   void detect_failures();
-  void refresh_ledger();
+  void gc_evictions();
   void progress_drains();
   void update_job_states();
   void coordinate_overload();
@@ -238,11 +233,11 @@ class ClusterController {
   void enforce_best_effort_slots();
   void backfill_best_effort();
   void account_availability(sim::Nanos dt);
-  void audit_ledger();
 
   [[nodiscard]] double job_demand(const Job& j) const;
   [[nodiscard]] bool node_placeable(std::uint32_t node) const;
   [[nodiscard]] double node_effective_capacity(std::uint32_t node) const;
+  [[nodiscard]] double effective_capacity(const ClusterLedger::Entry& e) const;
   [[nodiscard]] double node_headroom(std::uint32_t node) const;
   [[nodiscard]] bool node_fits(std::uint32_t node, const Job& j) const;
   [[nodiscard]] std::vector<std::uint32_t> candidate_nodes(

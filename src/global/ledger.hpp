@@ -1,32 +1,26 @@
-// Per-CPU utilization ledger: the global placement subsystem's view of how
-// much real-time utilization each local scheduler has committed.
+// Per-CPU utilization ledger: the global placement subsystem's read-only
+// view of how much real-time utilization each local scheduler has committed.
 //
-// The local schedulers feed the ledger deltas at their three utilization
-// mutation points (admission commit, detach/exit, sporadic tail release), so
-// it tracks the per-CPU admitted_periodic + sporadic ledgers exactly — the
-// kPlacementLedger audit invariant (docs/AUDIT.md) recomputes the
-// correspondence after every scheduling pass.  The placement engine and the
-// rebalancer read headroom from here instead of polling every scheduler.
+// The view holds no committed state of its own.  Each per-CPU entry points
+// at the owning scheduler's Q32.32 committed word
+// (rt::LocalScheduler::fast_committed_word), bound once by System::boot
+// after the kernel creates the schedulers, so placement reads exactly what
+// admission decides against.  An unbound CPU (a non-RT scheduler, or a read
+// before boot) reads as committing nothing.  The word is CAS-updated with
+// release publication and read with acquire loads (rt/fixed_point.hpp), so
+// PlacementEngine observes a coherent snapshot without locking even when
+// the schedulers and the reader run on different host threads.
 //
-// Lock-free representation: each per-CPU entry is a Q32.32 fixed-point
-// rt::fp::AdmissionWord (cache-line padded), updated by CAS with
-// release-publication and read with acquire loads, so PlacementEngine
-// observes a coherent snapshot without locking even when feeds and reads
-// come from different host threads.  The deltas are fed as
-// *raw* fixed-point quanta computed once at the scheduler's mutation point
-// (LocalScheduler::ledger_admit / ledger_release), so this ledger's word and
-// the scheduler's own fast-path word hold bit-identical values — the audit
-// checks them for exact raw equality, and against the scheduler's shadow
-// double ledgers within one ulp (2^-32) per operation.
+// The capacity word is the ledger's own: boot sizing writes it, and the
+// resilience controller publishes degraded capacities into it.
 //
 // Reservations (two-phase group admission, migration holds) are deliberately
-// *not* in the ledger: they are transient and already protect admission on
+// *not* in the view: they are transient and already protect admission on
 // the owning CPU; the ledger reflects only committed demand.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "rt/fixed_point.hpp"
@@ -39,34 +33,21 @@ class UtilizationLedger {
   /// (utilization_limit minus the sporadic and aperiodic reservations).
   UtilizationLedger(std::uint32_t num_cpus, double capacity);
 
-  /// Raw fixed-point feed: the scheduler converts its double delta once
-  /// (demand rounds up) and publishes the same quantum to its own fast-path
-  /// word and to this ledger, keeping the two bit-identical.
-  void on_admit_raw(std::uint32_t cpu, rt::fp::Raw q);
-  void on_release_raw(std::uint32_t cpu, rt::fp::Raw q);
-
-  /// Double-delta convenience used by offline tests and tools; converts
-  /// with the demand rounding (up) and forwards to the raw feed.
-  void on_admit(std::uint32_t cpu, double util) {
-    on_admit_raw(cpu, rt::fp::from_double_ceil(util));
-  }
-  void on_release(std::uint32_t cpu, double util) {
-    on_release_raw(cpu, rt::fp::from_double_ceil(util));
+  /// Point `cpu`'s entry at the scheduler word that holds its committed
+  /// utilization.  The word must outlive every read through this view.
+  void bind(std::uint32_t cpu, const rt::fp::AdmissionWord* committed) {
+    entries_[cpu].committed = committed;
   }
 
   [[nodiscard]] std::uint32_t num_cpus() const {
     return static_cast<std::uint32_t>(entries_.size());
   }
   [[nodiscard]] double committed(std::uint32_t cpu) const {
-    return entries_[cpu].committed.value();
+    return rt::fp::to_double(committed_raw(cpu));
   }
   [[nodiscard]] rt::fp::Raw committed_raw(std::uint32_t cpu) const {
-    return entries_[cpu].committed.raw();
-  }
-  /// Operations applied to a CPU's word so far; scales the audit tolerance
-  /// (one ulp of double<->fixed divergence allowed per operation).
-  [[nodiscard]] std::uint64_t committed_ops(std::uint32_t cpu) const {
-    return entries_[cpu].committed.ops();
+    const rt::fp::AdmissionWord* w = entries_[cpu].committed;
+    return w != nullptr ? w->raw() : 0;
   }
   [[nodiscard]] double capacity(std::uint32_t cpu) const {
     return rt::fp::to_double(capacity_raw(cpu));
@@ -87,25 +68,19 @@ class UtilizationLedger {
   }
 
   [[nodiscard]] double total_committed() const;
-  [[nodiscard]] std::uint64_t admits() const {
-    return admits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t releases() const {
-    return releases_.load(std::memory_order_relaxed);
-  }
 
  private:
-  // One cache line per CPU: the word is CAS-hammered from the owning
-  // scheduler while the placement engine scans all of them; padding keeps a
-  // hot admit loop from invalidating its neighbors' lines.
+  // One cache line per CPU: the resilience controller publishes one CPU's
+  // capacity without invalidating the lines placement reads for its
+  // neighbours.  (Packing the entries to 16 bytes also tipped glibc into
+  // trimming the heap between telemetry-on Phi System constructions, which
+  // bench/run_perf.sh's on_ctor_ms gate then times as page faults.)
   struct alignas(64) Entry {
-    rt::fp::AdmissionWord committed;
+    const rt::fp::AdmissionWord* committed = nullptr;
     std::atomic<rt::fp::Raw> capacity{0};
   };
 
   std::vector<Entry> entries_;
-  std::atomic<std::uint64_t> admits_{0};
-  std::atomic<std::uint64_t> releases_{0};
 };
 
 }  // namespace hrt::global

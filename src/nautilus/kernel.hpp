@@ -30,10 +30,6 @@ namespace hrt::audit {
 class Auditor;
 }
 
-namespace hrt::global {
-class UtilizationLedger;
-}
-
 namespace hrt::telemetry {
 class Telemetry;
 }
@@ -63,10 +59,6 @@ class Kernel {
     /// Invariant auditor shared by all schedulers and group collectives
     /// (owned by the caller, typically rt::System); null disables audits.
     audit::Auditor* auditor = nullptr;
-    /// Per-CPU utilization ledger for the global placement subsystem
-    /// (global/ledger.hpp), fed by the local schedulers' admission and
-    /// detach events; owned by the caller, null disables the feed.
-    global::UtilizationLedger* placement_ledger = nullptr;
     /// Telemetry hub (telemetry/telemetry.hpp): flight recorder, metrics,
     /// SLO monitor.  Owned by the caller (typically rt::System); null
     /// disables all instrumentation at the cost of one pointer test.

@@ -1,7 +1,6 @@
 #include "resilience/storm.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <string>
 
@@ -54,7 +53,6 @@ void StormController::start() {
   if (sample_event_.valid()) return;  // boot() is idempotent; so is this
   const std::uint32_t n = kernel_->num_cpus();
   cpus_.assign(n, CpuState{});
-  for (auto& cs : cpus_) cs.published = base_capacity_;
   storm_flags_.assign(n, 0);
   global_->engine_mut().set_storm_flags(&storm_flags_);
   sample_event_ = engine().schedule_after(
@@ -146,7 +144,6 @@ void StormController::sample() {
     if (cfg_.degrade_capacity) {
       double eff = base_capacity_ - est.ewma_fraction() - cfg_.capacity_reserve;
       eff = std::clamp(eff, 0.0, base_capacity_);
-      cpus_[c].published = eff;
       ledger.set_capacity(c, eff);
       if (auto* tel = kernel_->telemetry()) {
         tel->set_effective_capacity(c, eff);
@@ -371,12 +368,7 @@ void StormController::audit(sim::Nanos now) {
     const auto& ledger = global_->ledger();
     for (std::uint32_t c = 0; c < cpus_.size(); ++c) {
       const double cap = ledger.capacity(c);
-      if (std::abs(cap - cpus_[c].published) > kCapacityAuditEps) {
-        auditor_->record(audit::Invariant::kEffectiveCapacity, c, now,
-                         "ledger capacity " + std::to_string(cap) +
-                             " != controller-published " +
-                             std::to_string(cpus_[c].published));
-      } else if (cap > base_capacity_ + kCapacityAuditEps) {
+      if (cap > base_capacity_ + kCapacityAuditEps) {
         auditor_->record(audit::Invariant::kEffectiveCapacity, c, now,
                          "effective capacity " + std::to_string(cap) +
                              " exceeds the base capacity " +

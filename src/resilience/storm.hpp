@@ -127,9 +127,6 @@ class StormController {
   [[nodiscard]] bool in_storm(std::uint32_t cpu) const {
     return cpu < cpus_.size() && cpus_[cpu].storm;
   }
-  [[nodiscard]] double published_capacity(std::uint32_t cpu) const {
-    return cpu < cpus_.size() ? cpus_[cpu].published : base_capacity_;
-  }
   /// Currently shed threads (applied and not yet restored).
   [[nodiscard]] std::size_t shed_count() const;
   [[nodiscard]] double base_capacity() const { return base_capacity_; }
@@ -152,7 +149,6 @@ class StormController {
     bool storm = false;
     std::uint32_t hot_streak = 0;
     std::uint32_t calm_streak = 0;
-    double published = 0.0;  // capacity last written to the ledger
   };
 
   void sample();

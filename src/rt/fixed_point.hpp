@@ -17,9 +17,12 @@
 // compensated-summation test (rt/admission.hpp) accepts by construction.
 //
 // Each conversion introduces at most one ulp (2^-32 ~ 2.3e-10) of error,
-// and integer accumulation is exact, so after N admit/release operations
-// the word differs from the shadow double ledger by at most N ulp — the
-// bound the kPlacementLedger audit invariant enforces (docs/AUDIT.md).
+// and integer accumulation is exact.  A release subtracts the same quantum
+// its admit added, so a scheduler's committed word always equals the
+// saturating sum of its live demands' ceil quanta — the exact equality the
+// kUtilization audit invariant enforces (docs/AUDIT.md).  That word is the
+// CPU's only committed-utilization state; the placement and cluster ledgers
+// read it (global/ledger.hpp, cluster/ledger.hpp).
 //
 // The degenerate-constraint sentinel (rt::kDegenerateUtilization) and any
 // other out-of-range demand saturate to the maximum raw value, which can
@@ -87,10 +90,6 @@ inline constexpr double kSaturationThreshold = 4294967296.0;
 /// observes every write the admitting CPU made before publishing it (the
 /// satellite-3 ordering requirement; exercised by the TSan concurrency
 /// tests).
-///
-/// The operation counter feeds the audit tolerance: after ops() operations
-/// the word and the shadow double ledger may legitimately differ by up to
-/// ops() * kUlp.
 class AdmissionWord {
  public:
   AdmissionWord() = default;
@@ -110,7 +109,6 @@ class AdmissionWord {
       if (committed_.compare_exchange_weak(cur, next,
                                            std::memory_order_acq_rel,
                                            std::memory_order_acquire)) {
-        ops_.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
     }
@@ -124,11 +122,10 @@ class AdmissionWord {
                                              std::memory_order_acq_rel,
                                              std::memory_order_acquire)) {
     }
-    ops_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Release `demand`, clamped at zero — exactly like the shadow double
-  /// ledgers clamp, so the audit cross-check stays drift-free.
+  /// Release `demand`, clamped at zero (an over-release fails toward
+  /// "more room", which the kUtilization audit then reports).
   void release(Raw demand) {
     Raw cur = committed_.load(std::memory_order_acquire);
     for (;;) {
@@ -136,7 +133,6 @@ class AdmissionWord {
       if (committed_.compare_exchange_weak(cur, next,
                                            std::memory_order_acq_rel,
                                            std::memory_order_acquire)) {
-        ops_.fetch_add(1, std::memory_order_relaxed);
         return;
       }
     }
@@ -146,22 +142,11 @@ class AdmissionWord {
     return committed_.load(std::memory_order_acquire);
   }
   [[nodiscard]] double value() const { return to_double(raw()); }
-  [[nodiscard]] std::uint64_t ops() const {
-    return ops_.load(std::memory_order_relaxed);
-  }
-  /// Audit tolerance accumulated so far: one ulp per operation.
-  [[nodiscard]] double ulp_budget() const {
-    return static_cast<double>(ops()) * kUlp;
-  }
 
-  void reset() {
-    committed_.store(0, std::memory_order_release);
-    ops_.store(0, std::memory_order_relaxed);
-  }
+  void reset() { committed_.store(0, std::memory_order_release); }
 
  private:
   std::atomic<Raw> committed_{0};
-  std::atomic<std::uint64_t> ops_{0};
 };
 
 }  // namespace hrt::rt::fp

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "audit/auditor.hpp"
-#include "global/ledger.hpp"
 #include "nautilus/executor.hpp"
 #include "nautilus/kernel.hpp"
 #include "telemetry/telemetry.hpp"
@@ -15,8 +14,8 @@ namespace hrt::rt {
 
 namespace {
 constexpr sim::Nanos kNoTimer = -1;
-// Utilization ledgers accumulate float error across admit/exit cycles; the
-// audit recomputation tolerates this much drift.
+// The sporadic double ledger accumulates float error across admit/exit
+// cycles; the audit recomputation tolerates this much drift.
 constexpr double kLedgerEps = 1e-6;
 // Zero-delay one-shot re-arms in a row before the auditor calls it a storm.
 constexpr std::uint32_t kZeroArmStormThreshold = 64;
@@ -32,7 +31,6 @@ LocalScheduler::LocalScheduler(nk::Kernel& kernel, std::uint32_t cpu,
       cfg_(cfg),
       slop_(kernel.machine().spec().timer.apic_tick_ns + 1),
       auditor_(kernel.auditor()),
-      ledger_(kernel.options().placement_ledger),
       telemetry_(kernel.options().telemetry),
       pending_(cfg.max_threads),
       rt_run_(cfg.max_threads),
@@ -760,8 +758,6 @@ void LocalScheduler::detach_bookkeeping(nk::Thread* t) {
     auto it = std::find(periodic_set_.begin(), periodic_set_.end(), t);
     if (it != periodic_set_.end()) {
       ledger_release(t->constraints.utilization());
-      admitted_periodic_util_ -= t->constraints.utilization();
-      if (admitted_periodic_util_ < 0) admitted_periodic_util_ = 0;
       periodic_set_.erase(it);
     }
   }
@@ -852,7 +848,6 @@ bool LocalScheduler::change_constraints(nk::Thread& t, const Constraints& req,
     case ConstraintClass::kPeriodic: {
       if (was_sleeping) t.state = nk::Thread::State::kReady;
       ledger_admit(c.utilization());
-      admitted_periodic_util_ += c.utilization();
       periodic_set_.push_back(&t);
       t.rt.arrival = gamma + c.phase;
       t.rt.in_pending = true;
@@ -966,21 +961,14 @@ bool LocalScheduler::detach_for_migration(nk::Thread& t) {
 // --- job-boundary RT migration (docs/GLOBAL.md) ---------------------------
 
 void LocalScheduler::ledger_admit(double util) {
-  // One rounding, two destinations: the same raw quantum feeds this
-  // scheduler's fast-path word and the global placement ledger, so the two
-  // words stay bit-identical (the kPlacementLedger audit checks exact raw
-  // equality) and each differs from the shadow doubles by at most one ulp
-  // per operation.
-  const fp::Raw q = fp::from_double_ceil(util);
-  fast_committed_.add(q);
-  if (ledger_ != nullptr) ledger_->on_admit_raw(cpu_, q);
+  // The release of the same demand rounds the same double the same way, so
+  // the word stays the exact sum of its live quanta (kUtilization audit).
+  fast_committed_.add(fp::from_double_ceil(util));
 }
 
 void LocalScheduler::ledger_release(double util) {
-  const fp::Raw q = fp::from_double_ceil(util);
-  fast_committed_.release(q);
-  if (ledger_ == nullptr || cfg_.test_faults.drop_ledger_release) return;
-  ledger_->on_release_raw(cpu_, q);
+  if (cfg_.test_faults.drop_committed_release) return;
+  fast_committed_.release(fp::from_double_ceil(util));
 }
 
 bool LocalScheduler::request_migration(nk::Thread& t, std::uint32_t to) {
@@ -1177,20 +1165,19 @@ void LocalScheduler::audit_queues(sim::Nanos now) {
 
 void LocalScheduler::audit_utilization(sim::Nanos now) {
   auditor_->count_check();
-  double periodic = 0.0;
+  // Committed-word invariant: every admit adds the ceil quantum of a demand
+  // and its release subtracts the quantum of the same double, so the word
+  // must equal the saturating sum over the live admitted demands exactly.
+  fp::Raw committed = 0;
   for (const nk::Thread* t : periodic_set_) {
-    periodic += t->constraints.utilization();
-  }
-  if (std::abs(periodic - admitted_periodic_util_) > kLedgerEps) {
-    auditor_->record(
-        audit::Invariant::kUtilization, cpu_, now,
-        "periodic ledger " + std::to_string(admitted_periodic_util_) +
-            " != recomputed " + std::to_string(periodic));
+    committed = fp::sat_add(committed,
+                            fp::from_double_ceil(t->constraints.utilization()));
   }
   double sporadic = 0.0;
-  auto add = [&sporadic](const nk::Thread* t) {
+  auto add = [&sporadic, &committed](const nk::Thread* t) {
     if (t->constraints.cls == ConstraintClass::kSporadic) {
       sporadic += t->rt.density;
+      committed = fp::sat_add(committed, fp::from_double_ceil(t->rt.density));
     }
   };
   pending_.for_each(add);
@@ -1204,39 +1191,10 @@ void LocalScheduler::audit_utilization(sim::Nanos now) {
                      "sporadic ledger " + std::to_string(sporadic_util_) +
                          " != recomputed " + std::to_string(sporadic));
   }
-  // Placement-ledger invariant: the global subsystem's per-CPU view must
-  // track this scheduler's own ledgers exactly (same deltas, same clamping).
-  if (ledger_ != nullptr && auditor_->config().check_placement_ledger) {
-    const double mine = admitted_periodic_util_ + sporadic_util_;
-    if (std::abs(ledger_->committed(cpu_) - mine) > kLedgerEps) {
-      auditor_->record(
-          audit::Invariant::kPlacementLedger, cpu_, now,
-          "placement ledger " + std::to_string(ledger_->committed(cpu_)) +
-              " != scheduler ledgers " + std::to_string(mine));
-    }
-    // Lock-free word cross-checks (docs/AUDIT.md): the global ledger's
-    // Q32.32 word is fed the same raw quanta as the local fast-path word,
-    // so the two must be bit-identical; and the word may diverge from the
-    // shadow doubles by at most one ulp per operation (demand rounds up
-    // once per admit/release, integer accumulation is exact).
-    if (ledger_->committed_raw(cpu_) != fast_committed_.raw()) {
-      auditor_->record(
-          audit::Invariant::kPlacementLedger, cpu_, now,
-          "placement ledger word " +
-              std::to_string(ledger_->committed_raw(cpu_)) +
-              " != scheduler fast-path word " +
-              std::to_string(fast_committed_.raw()));
-    }
-    const double word_drift = std::abs(fast_committed_.value() - mine);
-    if (word_drift > fast_committed_.ulp_budget() + kLedgerEps) {
-      auditor_->record(
-          audit::Invariant::kPlacementLedger, cpu_, now,
-          "fast-path word " + std::to_string(fast_committed_.value()) +
-              " drifted " + std::to_string(word_drift) +
-              " from double ledgers " + std::to_string(mine) + " (budget " +
-              std::to_string(fast_committed_.ulp_budget() + kLedgerEps) +
-              " after " + std::to_string(fast_committed_.ops()) + " ops)");
-    }
+  if (committed != fast_committed_.raw()) {
+    auditor_->record(audit::Invariant::kUtilization, cpu_, now,
+                     "committed word " + std::to_string(fast_committed_.raw()) +
+                         " != recomputed sum " + std::to_string(committed));
   }
   // Reserved-word invariant: the reservation list and its Q32.32 mirror
   // must agree exactly (same ceil rounding on entry and exit).

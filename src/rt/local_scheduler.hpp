@@ -43,10 +43,6 @@ namespace hrt::audit {
 class Auditor;
 }
 
-namespace hrt::global {
-class UtilizationLedger;
-}
-
 namespace hrt::telemetry {
 class Telemetry;
 }
@@ -104,7 +100,7 @@ class LocalScheduler final : public nk::SchedulerBase {
       bool stale_sporadic_tail = false;   // keep rr_seq + reservation on tail
       bool double_count_current = false;  // thread_count() counts cur twice
       bool rearm_past_quantum = false;    // arm quantum target in the past
-      bool drop_ledger_release = false;   // placement ledger misses releases
+      bool drop_committed_release = false;  // committed word misses releases
       bool stale_migrate_cpu = false;     // migrate without updating t->cpu
       // Failed admission consumes the caller's two-phase reservation (the
       // pre-fix change_constraints behavior: held utilization silently lost
@@ -166,7 +162,7 @@ class LocalScheduler final : public nk::SchedulerBase {
   bool detach_for_migration(nk::Thread& t) override;
   [[nodiscard]] std::size_t thread_count() const override;
   [[nodiscard]] double admitted_utilization() const override {
-    return admitted_periodic_util_ + sporadic_util_;
+    return fast_committed_.value();
   }
   void audit_state(sim::Nanos now) override;
 
@@ -234,7 +230,9 @@ class LocalScheduler final : public nk::SchedulerBase {
   /// exclusions), fast path included; bench/fuzz probe, no state change
   /// beyond stats.
   [[nodiscard]] bool probe_admission(const Constraints& c);
-  /// The committed/reserved fast-path words (diagnostics and audits).
+  /// The committed/reserved fast-path words.  The committed word is this
+  /// CPU's only committed-utilization state: the placement ledger reads it
+  /// (global/ledger.hpp).
   [[nodiscard]] const fp::AdmissionWord& fast_committed_word() const {
     return fast_committed_;
   }
@@ -312,7 +310,8 @@ class LocalScheduler final : public nk::SchedulerBase {
   // Layout: every System allocates one LocalScheduler per CPU, and glibc
   // serves chunks of 1024 bytes and up from its sorted large bins.  Past
   // that size a telemetry-off Phi boot measured ~20 us (~15%) slower, so
-  // keep sizeof at most 1000 bytes: small members fill padding holes.
+  // keep sizeof at most 1000 bytes (static_assert in test_scheduler.cpp):
+  // small members fill padding holes.
   nk::Kernel& kernel_;
   std::uint32_t cpu_;
   // Timer passes in a row that found the current RT thread's residual slice
@@ -324,8 +323,7 @@ class LocalScheduler final : public nk::SchedulerBase {
   nk::CpuExecutor* exec_ = nullptr;
   sim::Nanos slop_;  // timer earliness tolerance (one APIC tick)
   audit::Auditor* auditor_ = nullptr;  // owned by System; may be null
-  global::UtilizationLedger* ledger_ = nullptr;  // placement ledger; may be null
-  telemetry::Telemetry* telemetry_ = nullptr;    // flight recorder; may be null
+  telemetry::Telemetry* telemetry_ = nullptr;  // flight recorder; may be null
   sim::Nanos budget_audit_slop_ = 0;   // tolerance for the budget invariant
   std::uint32_t zero_arm_streak_ = 0;  // consecutive zero-delay one-shots
   std::uint32_t budget_moves_ = 0;  // arrivals opened + closed (wraps)
@@ -356,15 +354,15 @@ class LocalScheduler final : public nk::SchedulerBase {
   sim::Nanos pass_entry_ = -1;     // start of the handler span being timed
   sim::Nanos expected_span_ = 0;   // predicted cost of that span
 
-  double admitted_periodic_util_ = 0.0;
+  // The sporadic class's own admission input (utilization_fits against the
+  // sporadic reservation); the periodic side is recomputed from
+  // periodic_set_ by the slow path.
   double sporadic_util_ = 0.0;
-  // Lock-free admission fast path: Q32.32 mirrors of the double ledgers
-  // above (committed = periodic + sporadic, fed with the same deltas at
-  // ledger_admit/ledger_release) and of the reservation list.  Demand
-  // rounds up on entry, so the words upper-bound the true sums and a word
-  // probe can admit without the O(n) analysis (docs/API.md); the
-  // kPlacementLedger audit bounds their divergence from the doubles by one
-  // ulp per operation.
+  // Committed utilization (periodic + sporadic, added at ledger_admit and
+  // subtracted at ledger_release) and the reservation list, as Q32.32
+  // words.  Demand rounds up on entry, so the words upper-bound the true
+  // sums and a word probe can admit without the O(n) analysis
+  // (docs/API.md); the kUtilization audit recomputes both exactly.
   fp::AdmissionWord fast_committed_;
   fp::AdmissionWord fast_reserved_;
   std::uint64_t rr_seq_counter_ = 0;

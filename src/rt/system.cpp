@@ -77,7 +77,6 @@ System::System(Options options) : options_(std::move(options)) {
 
   nk::Kernel::Options ko;
   ko.auditor = auditor_.get();
-  ko.placement_ledger = &global_->ledger();
   ko.telemetry = telemetry_->enabled() ? telemetry_.get() : nullptr;
   ko.scheduler_factory = rt::make_scheduler_factory(options_.sched);
   ko.work_stealing = options_.work_stealing;
@@ -100,6 +99,14 @@ System::System(Options options) : options_(std::move(options)) {
       telemetry_->set_effective_capacity(c, capacity);
     }
   }
+}
+
+void System::boot() {
+  kernel_->boot();
+  for (std::uint32_t c = 0; c < kernel_->num_cpus(); ++c) {
+    global_->ledger().bind(c, &sched(c).fast_committed_word());
+  }
+  storm_->start();
 }
 
 nk::Thread* System::spawn(std::string name,

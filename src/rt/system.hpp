@@ -64,12 +64,10 @@ class System {
   System(const System&) = delete;
   System& operator=(const System&) = delete;
 
-  /// Boot the kernel (idempotent guard inside the kernel) and, when
+  /// Boot the kernel (idempotent guard inside the kernel), bind the
+  /// placement ledger to each new scheduler's committed word and, when
   /// resilience is enabled, start the storm controller's sampling loop.
-  void boot() {
-    kernel_->boot();
-    storm_->start();
-  }
+  void boot();
 
   [[nodiscard]] hw::Machine& machine() { return *machine_; }
   [[nodiscard]] nk::Kernel& kernel() { return *kernel_; }

@@ -9,6 +9,12 @@
 namespace hrt {
 namespace {
 
+// Every System allocates one LocalScheduler per CPU, and glibc serves
+// chunks of 1024 bytes and up from its sorted large bins, which made a
+// telemetry-off Phi boot measurably slower (rt/local_scheduler.hpp).
+static_assert(sizeof(rt::LocalScheduler) <= 1000,
+              "LocalScheduler must stay under glibc's large-bin threshold");
+
 System::Options quiet(std::uint32_t cpus = 4) {
   System::Options o;
   o.spec = hw::MachineSpec::phi_small(cpus);
