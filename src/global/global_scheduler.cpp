@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "group/group.hpp"
 #include "nautilus/behavior.hpp"
 #include "nautilus/kernel.hpp"
 #include "nautilus/thread.hpp"
@@ -90,6 +91,13 @@ class AutoAdmitBehavior final : public nk::Behavior {
 };
 
 }  // namespace
+
+void GlobalScheduler::attach(nk::Kernel* kernel,
+                             const grp::GroupRegistry* groups) {
+  kernel_ = kernel;
+  rebalancer_.attach(kernel);
+  engine_.set_group_admitting(&groups->admitting());
+}
 
 std::unique_ptr<nk::Behavior> GlobalScheduler::auto_admit(
     const rt::Constraints& c, std::unique_ptr<nk::Behavior> inner) {

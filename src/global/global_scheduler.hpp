@@ -51,10 +51,9 @@ class GlobalScheduler {
         rebalancer_(ledger_, engine_, cfg) {}
 
   /// Late wiring; the kernel and registry outlive this object's uses.
-  void attach(nk::Kernel* kernel, grp::GroupRegistry* groups) {
-    kernel_ = kernel;
-    rebalancer_.attach(kernel, groups);
-  }
+  /// Placement reads the registry's in-flight group admissions
+  /// (PlacementEngine::set_group_admitting).
+  void attach(nk::Kernel* kernel, const grp::GroupRegistry* groups);
 
   [[nodiscard]] UtilizationLedger& ledger() { return ledger_; }
   [[nodiscard]] const UtilizationLedger& ledger() const { return ledger_; }

@@ -199,11 +199,11 @@ std::vector<std::uint32_t> PlacementEngine::choose_group(
   const double util = c.utilization();
   std::vector<std::uint32_t> out;
   for (std::uint32_t cpu : rt_cpu_order(util)) {
-    if (!fits(cpu, util)) continue;
+    if (!fits(cpu, util) || group_admitting(cpu)) continue;
     out.push_back(cpu);
     if (out.size() == n) return out;
   }
-  return {};  // not enough distinct CPUs with headroom
+  return {};  // not enough distinct free CPUs with headroom
 }
 
 SplitPlan split_task(const rt::PeriodicTask& task,

@@ -98,8 +98,9 @@ class PlacementEngine {
 
   /// Co-place `n` group members, each demanding `c`'s utilization: distinct
   /// CPUs in headroom order (group collectives gain nothing from sharing a
-  /// CPU; distinct CPUs let all members run concurrently).  Empty result if
-  /// fewer than `n` CPUs fit.
+  /// CPU; distinct CPUs let all members run concurrently), skipping every
+  /// CPU where another group's admission is in flight (set_group_admitting).
+  /// Empty result if fewer than `n` CPUs remain.
   [[nodiscard]] std::vector<std::uint32_t> choose_group(
       std::uint32_t n, const rt::Constraints& c) const;
 
@@ -131,12 +132,27 @@ class PlacementEngine {
            (*storm_flags_)[cpu] != 0;
   }
 
+  /// In-flight group admissions (docs/GLOBAL.md): grp::GroupRegistry's
+  /// per-CPU count of group members whose admission protocol has not
+  /// finished.  The protocol spins in barriers inside the members' own
+  /// aperiodic threads, so it assumes every member runs on its own CPU
+  /// alongside its peers; a second group admitting on the same CPUs can
+  /// queue each group's members behind the other's spinners for a whole
+  /// aperiodic quantum.  choose_group therefore skips these CPUs.
+  void set_group_admitting(const std::vector<std::uint32_t>* counts) {
+    admitting_ = counts;
+  }
+
  private:
   [[nodiscard]] bool fits(std::uint32_t cpu, double util) const;
+  [[nodiscard]] bool group_admitting(std::uint32_t cpu) const {
+    return admitting_ != nullptr && (*admitting_)[cpu] != 0;
+  }
 
   const UtilizationLedger& ledger_;
   Config cfg_;
   const std::vector<std::uint8_t>* storm_flags_ = nullptr;  // by CPU; unowned
+  const std::vector<std::uint32_t>* admitting_ = nullptr;   // by CPU; unowned
 };
 
 // --- offline set packing (bench + overflow planning) ---

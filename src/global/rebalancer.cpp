@@ -25,7 +25,7 @@ bool Rebalancer::movable(const nk::Thread* t) const {
     return false;
   }
   if (t->migrate_to != nk::kNoMigrateTarget) return false;
-  if (groups_ != nullptr && groups_->group_of(t) != nullptr) return false;
+  if (grp::GroupRegistry::group_of(t) != nullptr) return false;
   return true;
 }
 

@@ -26,10 +26,6 @@ class Kernel;
 class Thread;
 }  // namespace hrt::nk
 
-namespace hrt::grp {
-class GroupRegistry;
-}
-
 namespace hrt::global {
 
 class UtilizationLedger;
@@ -49,10 +45,7 @@ class Rebalancer {
       : ledger_(ledger), engine_(engine), cfg_(cfg) {}
 
   /// Late wiring: the kernel exists only after System assembles it.
-  void attach(nk::Kernel* kernel, grp::GroupRegistry* groups) {
-    kernel_ = kernel;
-    groups_ = groups;
-  }
+  void attach(nk::Kernel* kernel) { kernel_ = kernel; }
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -93,7 +86,6 @@ class Rebalancer {
   const PlacementEngine& engine_;
   Config cfg_;
   nk::Kernel* kernel_ = nullptr;
-  grp::GroupRegistry* groups_ = nullptr;
   Stats stats_;
 };
 

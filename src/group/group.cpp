@@ -93,21 +93,47 @@ ThreadGroup::ThreadGroup(nk::Kernel& kernel, std::string name,
                          std::uint32_t expected_members)
     : kernel_(kernel), name_(std::move(name)), expected_(expected_members) {}
 
+ThreadGroup::~ThreadGroup() {
+  for (nk::Thread* t : joined_) {
+    if (t->group == this) t->group = nullptr;
+  }
+}
+
+std::uint32_t ThreadGroup::size() const {
+  return static_cast<std::uint32_t>(
+      std::count_if(joined_.begin(), joined_.end(),
+                    [this](const nk::Thread* t) { return t->group == this; }));
+}
+
+std::vector<nk::Thread*> ThreadGroup::members() const {
+  std::vector<nk::Thread*> out;
+  for (nk::Thread* t : joined_) {
+    if (t->group == this) out.push_back(t);
+  }
+  return out;
+}
+
 nk::Action ThreadGroup::join_action(std::function<void(nk::ThreadCtx&)> fx) {
   // Join takes the group lock's line plus a list insertion: a few transfers.
   const sim::Nanos cost = 3 * transfer_ns(kernel_);
-  return nk::Action::atomic(&join_line_, cost,
-                            [this, fx = std::move(fx)](nk::ThreadCtx& ctx) {
-                              members_.push_back(&ctx.self);
-                              if (fx) fx(ctx);
-                            });
+  return nk::Action::atomic(
+      &join_line_, cost, [this, fx = std::move(fx)](nk::ThreadCtx& ctx) {
+        if (ctx.self.group != this) {
+          std::erase_if(joined_,
+                        [this](const nk::Thread* t) { return t->group != this; });
+          ctx.self.group = this;
+          joined_.push_back(&ctx.self);
+        }
+        if (fx) fx(ctx);
+      });
 }
 
 nk::Action ThreadGroup::leave_action() {
   const sim::Nanos cost = 3 * transfer_ns(kernel_);
   return nk::Action::atomic(&join_line_, cost, [this](nk::ThreadCtx& ctx) {
-    auto it = std::find(members_.begin(), members_.end(), &ctx.self);
-    if (it != members_.end()) members_.erase(it);
+    if (ctx.self.group != this) return;
+    ctx.self.group = nullptr;
+    std::erase(joined_, &ctx.self);
   });
 }
 
@@ -150,6 +176,11 @@ sim::Nanos ThreadGroup::departure_delta() const {
   return transfer_ns(kernel_);
 }
 
+GroupRegistry::GroupRegistry(nk::Kernel& kernel)
+    : kernel_(kernel),
+      admitting_(std::make_shared<std::vector<std::uint32_t>>(
+          kernel.num_cpus(), 0u)) {}
+
 ThreadGroup* GroupRegistry::create(const std::string& name,
                                    std::uint32_t expected) {
   if (find(name) != nullptr) return nullptr;
@@ -160,15 +191,6 @@ ThreadGroup* GroupRegistry::create(const std::string& name,
 ThreadGroup* GroupRegistry::find(const std::string& name) const {
   for (const auto& g : groups_) {
     if (g->name() == name) return g.get();
-  }
-  return nullptr;
-}
-
-ThreadGroup* GroupRegistry::group_of(const nk::Thread* t) const {
-  for (const auto& g : groups_) {
-    for (nk::Thread* m : g->members()) {
-      if (m == t) return g.get();
-    }
   }
   return nullptr;
 }

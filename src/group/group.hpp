@@ -20,6 +20,7 @@
 #include "nautilus/action.hpp"
 #include "nautilus/kernel.hpp"
 #include "nautilus/sync.hpp"
+#include "nautilus/thread.hpp"
 #include "rt/constraints.hpp"
 
 namespace hrt::grp {
@@ -65,15 +66,18 @@ class ThreadGroup {
  public:
   ThreadGroup(nk::Kernel& kernel, std::string name,
               std::uint32_t expected_members);
+  /// Clears nk::Thread::group on every thread still a member.
+  ~ThreadGroup();
+
+  ThreadGroup(const ThreadGroup&) = delete;
+  ThreadGroup& operator=(const ThreadGroup&) = delete;
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::uint32_t expected() const { return expected_; }
-  [[nodiscard]] std::uint32_t size() const {
-    return static_cast<std::uint32_t>(members_.size());
-  }
-  [[nodiscard]] const std::vector<nk::Thread*>& members() const {
-    return members_;
-  }
+  /// Membership lives on the thread (nk::Thread::group); these read it.  A
+  /// member that exits stays one until its TCB is recycled.
+  [[nodiscard]] std::uint32_t size() const;
+  [[nodiscard]] std::vector<nk::Thread*> members() const;
   [[nodiscard]] nk::Kernel& kernel() { return kernel_; }
 
   /// Serialized join: the emitting thread becomes a member on completion.
@@ -129,7 +133,10 @@ class ThreadGroup {
   nk::Kernel& kernel_;
   std::string name_;
   std::uint32_t expected_;
-  std::vector<nk::Thread*> members_;
+  // Threads that joined, in join order.  Holds every thread whose `group`
+  // is this one; entries whose TCB was since recycled are skipped on read
+  // and pruned at the next join.
+  std::vector<nk::Thread*> joined_;
   std::vector<std::pair<std::uint32_t, std::unique_ptr<GroupBarrier>>>
       barriers_;
 
@@ -146,23 +153,72 @@ class ThreadGroup {
   std::uint32_t failures_ = 0;
 };
 
+/// One group member's hold on its CPU's count of group admissions in
+/// flight (GroupRegistry::admitting).  Move-only; gives the count back
+/// exactly once: on release(), or on destruction when the protocol holding
+/// it never finished (the member's behavior was torn down first).
+class AdmissionTicket {
+ public:
+  AdmissionTicket() = default;
+  AdmissionTicket(std::shared_ptr<std::vector<std::uint32_t>> counts,
+                  std::uint32_t cpu)
+      : counts_(std::move(counts)), cpu_(cpu) {}
+  AdmissionTicket(AdmissionTicket&&) noexcept = default;
+  AdmissionTicket& operator=(AdmissionTicket&& o) noexcept {
+    if (this != &o) {
+      release();
+      counts_ = std::move(o.counts_);
+      cpu_ = o.cpu_;
+    }
+    return *this;
+  }
+  ~AdmissionTicket() { release(); }
+
+  void release() {
+    if (counts_ != nullptr) --(*counts_)[cpu_];
+    counts_.reset();
+  }
+
+ private:
+  // Shared with the registry: a System tears its registry down before the
+  // kernel's threads, so an unfinished member's ticket outlives it.
+  std::shared_ptr<std::vector<std::uint32_t>> counts_;
+  std::uint32_t cpu_ = 0;
+};
+
 /// Named-group registry ("threads can create, join, leave, and destroy
 /// named groups").
 class GroupRegistry {
  public:
-  explicit GroupRegistry(nk::Kernel& kernel) : kernel_(kernel) {}
+  explicit GroupRegistry(nk::Kernel& kernel);
 
   ThreadGroup* create(const std::string& name, std::uint32_t expected);
   [[nodiscard]] ThreadGroup* find(const std::string& name) const;
   /// The group `t` is a member of, or null.  Group members are pinned by
   /// their collectives, so the rebalancer treats them as immovable.
-  [[nodiscard]] ThreadGroup* group_of(const nk::Thread* t) const;
+  [[nodiscard]] static ThreadGroup* group_of(const nk::Thread* t) {
+    return t->group;
+  }
   bool destroy(const std::string& name);
   [[nodiscard]] std::size_t count() const { return groups_.size(); }
+
+  /// Per-CPU count of members placed by System::spawn_group_auto whose
+  /// admission protocol has not finished.  PlacementEngine::choose_group
+  /// skips every CPU with a non-zero count, so two groups never admit on
+  /// the same CPU (docs/GLOBAL.md).
+  [[nodiscard]] const std::vector<std::uint32_t>& admitting() const {
+    return *admitting_;
+  }
+  /// Count one member in flight on `cpu`; the ticket gives it back.
+  [[nodiscard]] AdmissionTicket hold_admitting(std::uint32_t cpu) {
+    ++(*admitting_)[cpu];
+    return AdmissionTicket(admitting_, cpu);
+  }
 
  private:
   nk::Kernel& kernel_;
   std::vector<std::unique_ptr<ThreadGroup>> groups_;
+  std::shared_ptr<std::vector<std::uint32_t>> admitting_;
 };
 
 }  // namespace hrt::grp

@@ -155,6 +155,7 @@ nk::Action GroupChangeConstraints::next(nk::ThreadCtx& ctx) {
             timing_.total_done = c.wall_now;
             success_ = false;
             done_ = true;
+            ticket_.release();
           });
         }
         return a;
@@ -186,6 +187,7 @@ nk::Action GroupChangeConstraints::next(nk::ThreadCtx& ctx) {
               }
               timing_.total_done = cx.wall_now;
               done_ = true;
+              ticket_.release();
             });
       }
       case Step::kDone:

@@ -62,6 +62,10 @@ class GroupChangeConstraints {
   /// If true, the caller disabled phase correction (ablation / Figure 11's
   /// "phase correction disabled" configuration).
   void set_phase_correction(bool on) { phase_correction_ = on; }
+  /// Hold `ticket` (GroupRegistry::hold_admitting) until the protocol
+  /// finishes, successfully or not; a protocol destroyed unfinished gives it
+  /// back on destruction.
+  void hold(AdmissionTicket ticket) { ticket_ = std::move(ticket); }
 
  private:
   enum class Step : std::uint8_t {
@@ -93,6 +97,7 @@ class GroupChangeConstraints {
   bool reserved_ok_ = false;
   int release_order_ = -1;
   Timing timing_;
+  AdmissionTicket ticket_;
 };
 
 /// Convenience behavior: join + group admission, then delegate to an inner

@@ -19,6 +19,10 @@
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
+namespace hrt::grp {
+class ThreadGroup;
+}
+
 namespace hrt::nk {
 
 /// Sentinel for Thread::migrate_to: no migration pending.
@@ -71,6 +75,10 @@ class Thread {
   /// a finished thread's behavior until the next spawn, while the number of
   /// live behaviors stays bounded by the thread objects, not total spawns.
   std::unique_ptr<Behavior> behavior;
+  /// The group this thread has joined (src/group/), or null: set by the
+  /// group's join, cleared by its leave, by the group's destruction and by
+  /// recycle(), so a pooled TCB never carries its former owner's membership.
+  grp::ThreadGroup* group = nullptr;
 
   // Action progress (managed by the executor).
   Action action;
@@ -119,6 +127,7 @@ class Thread {
     dispatches = 0;
     bound = false;
     is_idle = false;
+    group = nullptr;
   }
 };
 

@@ -8,6 +8,7 @@
 #include "audit/auditor.hpp"
 #include "nautilus/executor.hpp"
 #include "nautilus/kernel.hpp"
+#include "nautilus/sync.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace hrt::rt {
@@ -219,6 +220,11 @@ nk::Thread* LocalScheduler::select_next(sim::Nanos now,
         throw std::runtime_error("LocalScheduler: nonrt queue full");
       }
       ++stats_.rr_rotations;
+      if (rotate && cur->spinning_on != nullptr && !cur->spin_satisfied &&
+          !cur->spinning_on->is_set()) {
+        ++stats_.spin_rotations;
+        if (telemetry_ != nullptr) telemetry_->on_spin_rotation(cpu_);
+      }
       return next;
     }
     return cur;

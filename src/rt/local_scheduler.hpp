@@ -130,6 +130,9 @@ class LocalScheduler final : public nk::SchedulerBase {
     std::uint64_t batch_reserved_threads = 0;  // threads those calls admitted
     std::uint64_t tasks_inline = 0;
     std::uint64_t rr_rotations = 0;
+    // Quantum-expiry rotations of a current thread spinning on an unset
+    // WaitFlag: each one burned a whole aperiodic quantum waiting.
+    std::uint64_t spin_rotations = 0;
     std::uint64_t zero_delay_arms = 0;  // one-shot armed with zero delay
     // One-shot arms by the term that set the target (timer provenance).
     telemetry::ArmTermCounts arms_by_term{};

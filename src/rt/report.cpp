@@ -68,13 +68,15 @@ void print_cpu_report(System& sys, std::ostream& os,
   // Timer provenance: the term that set each one-shot target, and the
   // passes that neither switched nor moved any budget.  A CPU whose passes
   // are mostly idle, with one term arming nearly every pass, is looping on
-  // that target.
+  // that target.  spin-rot counts aperiodic quanta a thread spent spinning
+  // on a flag nobody set: a CPU where it grows is waiting on a peer that
+  // cannot run.
   auto term_width = [](std::size_t k) {
     const std::size_t n = std::strlen(
         telemetry::arm_term_name(static_cast<telemetry::ArmTerm>(k)));
     return static_cast<int>(std::max<std::size_t>(n + 1, 9));
   };
-  os << "cpu idle-pass";
+  os << "cpu idle-pass spin-rot";
   for (std::size_t k = 0; k < telemetry::kArmTermCount; ++k) {
     os << std::setw(term_width(k))
        << telemetry::arm_term_name(static_cast<telemetry::ArmTerm>(k));
@@ -83,7 +85,8 @@ void print_cpu_report(System& sys, std::ostream& os,
   for (std::uint32_t c = 0; c < sys.kernel().num_cpus(); ++c) {
     const auto& st = sys.sched(c).stats();
     if (opt.skip_quiet_cpus && st.passes < 2) continue;
-    os << std::setw(3) << c << std::setw(10) << st.idle_passes;
+    os << std::setw(3) << c << std::setw(10) << st.idle_passes
+       << std::setw(9) << st.spin_rotations;
     for (std::size_t k = 0; k < telemetry::kArmTermCount; ++k) {
       os << std::setw(term_width(k)) << st.arms_by_term[k];
     }

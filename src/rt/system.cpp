@@ -244,11 +244,13 @@ std::vector<nk::Thread*> System::spawn_group_auto(
   std::vector<nk::Thread*> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    out.push_back(kernel_->create_thread(
-        name + "." + std::to_string(i),
-        std::make_unique<grp::GroupAdmitThenBehavior>(
-            *group, constraints, make_inner(i), /*join_first=*/true),
-        cpus[i]));
+    auto member = std::make_unique<grp::GroupAdmitThenBehavior>(
+        *group, constraints, make_inner(i), /*join_first=*/true);
+    // Until its protocol finishes, this member keeps placement from putting
+    // another group's member on its CPU (PlacementEngine::choose_group).
+    member->protocol_mutable().hold(groups_->hold_admitting(cpus[i]));
+    out.push_back(kernel_->create_thread(name + "." + std::to_string(i),
+                                         std::move(member), cpus[i]));
   }
   return out;
 }

@@ -274,6 +274,7 @@ void write_metrics_json(std::ostream& os, const Telemetry& tel,
          << "\": " << cm.arms_by_term[k];
     }
     os << "}, \"idle_passes\": " << cm.idle_passes
+       << ", \"spin_rotations\": " << cm.spin_rotations
        << ", \"admits_ok\": " << cm.admits_ok
        << ", \"admits_rejected\": " << cm.admits_rejected
        << ", \"completions\": " << cm.completions

@@ -129,6 +129,7 @@ struct CpuMetrics {
   ArmTermCounts arms_by_term{};  // timer_arms split by winning ArmTerm
   std::uint64_t idle_passes = 0;  // passes that neither switched nor
                                   // moved any budget
+  std::uint64_t spin_rotations = 0;  // quantum lost spinning on a flag
   std::uint64_t admits_ok = 0;
   std::uint64_t admits_rejected = 0;
   std::uint64_t completions = 0;

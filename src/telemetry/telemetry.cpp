@@ -80,6 +80,11 @@ void Telemetry::on_idle_pass(std::uint32_t cpu) {
   ++metrics_->cpu(cpu).idle_passes;
 }
 
+void Telemetry::on_spin_rotation(std::uint32_t cpu) {
+  if (!cfg_.enabled) return;
+  ++metrics_->cpu(cpu).spin_rotations;
+}
+
 void Telemetry::on_admit(std::uint32_t cpu, sim::Nanos now, std::uint32_t tid,
                          bool ok, double util) {
   if (!cfg_.enabled) return;

@@ -73,6 +73,9 @@ class Telemetry {
                     ArmTerm term);
   /// A pass that neither switched nor moved any budget (metrics only).
   void on_idle_pass(std::uint32_t cpu);
+  /// A quantum-expiry rotation of a thread spinning on an unset flag
+  /// (metrics only).
+  void on_spin_rotation(std::uint32_t cpu);
   void on_admit(std::uint32_t cpu, sim::Nanos now, std::uint32_t tid, bool ok,
                 double util);
   /// Arrival close.  `lateness` is signed: > 0 is a deadline miss by that

@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "nautilus/sync.hpp"
 #include "rt/system.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics_diff.hpp"
@@ -80,6 +81,36 @@ TEST(MetricsDiff, TimerProvenanceFieldsMatchSchedulerStats) {
               static_cast<double>(st.idle_passes));
   }
   EXPECT_GT(snap.values.at("cpu.1.arms_by_term.budget"), 0.0);
+}
+
+TEST(MetricsDiff, SpinRotationsFieldMatchesSchedulerStats) {
+  System::Options o = telemetered(3);
+  o.sched.aperiodic_quantum = sim::millis(1);
+  System sys(std::move(o));
+  sys.boot();
+  nk::WaitFlag never(sys.kernel());
+  sys.spawn("spinner",
+            std::make_unique<nk::SequenceBehavior>(
+                std::vector<nk::Action>{nk::Action::spin_until(&never)}),
+            1);
+  sys.spawn("hog", std::make_unique<nk::BusyLoopBehavior>(sim::micros(100)),
+            1);
+  sys.spawn("bg", std::make_unique<nk::BusyLoopBehavior>(sim::micros(100)),
+            2);
+  sys.run_for(sim::millis(10));
+
+  const MetricsSnapshot snap = parse_metrics_snapshot(snapshot_json(sys));
+  ASSERT_TRUE(snap.ok) << snap.error;
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    const std::string key = "cpu." + std::to_string(c) + ".spin_rotations";
+    EXPECT_EQ(snap.values.at(key),
+              static_cast<double>(sys.sched(c).stats().spin_rotations))
+        << key;
+  }
+  EXPECT_GT(snap.values.at("cpu.1.spin_rotations"), 0.0);
+  EXPECT_EQ(snap.values.at("cpu.2.spin_rotations"), 0.0);
+  never.set();  // let the spinner finish before the flag goes away
+  sys.run_for(sim::millis(2));
 }
 
 TEST(MetricsDiff, DiffReportsDeltasAndNewRows) {

@@ -392,6 +392,37 @@ TEST(Rebalance, ExitTriggersRebalance) {
 
 // ---------- topology-aware + group placement ----------
 
+// Membership lives on the thread: a member's TCB that exits and is
+// recycled for an unrelated spawn is not a member of the old group, so the
+// rebalancer may move the new thread.
+TEST(Rebalance, RecycledMemberIsNotAMemberAndMayMove) {
+  System sys(placed(4, 1));
+  sys.boot();
+  const auto members = sys.spawn_group_auto(
+      "short", 2,
+      rt::Constraints::periodic(sim::millis(1), sim::millis(1),
+                                sim::micros(100)),
+      [](std::uint32_t) { return finite_worker(5, sim::micros(50)); });
+  ASSERT_EQ(members.size(), 2u);
+  grp::ThreadGroup* g = sys.groups().find("short");
+  ASSERT_NE(g, nullptr);
+  sys.run_for(sim::micros(1500));  // admitted, inner still running
+  EXPECT_EQ(g->size(), 2u);
+  for (nk::Thread* t : members) {
+    EXPECT_EQ(sys.groups().group_of(t), g);
+    EXPECT_FALSE(sys.placement().rebalancer().movable(t));
+  }
+  sys.run_for(sim::millis(10));  // both members exit
+  nk::Thread* reused = sys.spawn("unrelated", busy(), 2);
+  ASSERT_TRUE(reused == members[0] || reused == members[1])
+      << "the pool should hand out a former member's TCB";
+  EXPECT_EQ(sys.groups().group_of(reused), nullptr);
+  EXPECT_TRUE(sys.placement().rebalancer().movable(reused));
+  EXPECT_EQ(g->size(), 1u);  // the other member exited but is not recycled
+  const auto left = g->members();
+  EXPECT_EQ(std::count(left.begin(), left.end(), reused), 0);
+}
+
 TEST(Placement, TopologySteersRtOffLadenCpu) {
   System sys(placed(4, 2));
   sys.boot();
@@ -434,6 +465,209 @@ TEST(Group, AutoPlacementCoLocates) {
     EXPECT_EQ(t->rt.misses, 0u);
   }
   EXPECT_EQ(sys.auditor().total_violations(), 0u);
+}
+
+// ---------- group-admission convoy ----------
+
+// The group protocol spins in barriers inside the members' own aperiodic
+// threads.  When two groups admit on the same CPUs, an RT arrival can push
+// one group's spinner behind the other group's member on one CPU while its
+// peer spins on another: each spinner then waits a whole aperiodic quantum
+// (100 ms) for a peer queued behind the other group, and worst-fit keeps
+// feeding the CPUs, whose ledgers read empty.  choose_group skips CPUs with
+// a group admission in flight, so that knot cannot form.
+TEST(GroupConvoy, OverlappingGroupsAdmitPromptlyUnderAutoStream) {
+  System sys(placed(6, 1));
+  sys.boot();
+  const auto group_c = rt::Constraints::periodic(
+      sim::millis(1), sim::millis(1), sim::micros(100));
+  const auto auto_c = rt::Constraints::periodic(
+      sim::millis(1), sim::micros(500), sim::micros(50));
+  // first_run[k]: when member k's inner behavior first ran, i.e. its first
+  // synchronized arrival after a successful admission (-1: never).
+  struct Spawned {
+    sim::Nanos at;
+    std::vector<std::shared_ptr<sim::Nanos>> first_run;
+  };
+  std::vector<Spawned> groups;
+  std::size_t max_queue = 0;
+  for (int round = 0; round < 20; ++round) {
+    // Two groups of 3 at the same instant, which headroom order alone
+    // would put on the same three CPUs.
+    for (int k = 0; k < 2; ++k) {
+      Spawned g{sys.engine().now(), {}};
+      const auto members = sys.spawn_group_auto(
+          "g" + std::to_string(round) + "." + std::to_string(k), 3, group_c,
+          [&g](std::uint32_t) {
+            auto seen = std::make_shared<sim::Nanos>(-1);
+            g.first_run.push_back(seen);
+            return std::make_unique<nk::FnBehavior>(
+                [seen](nk::ThreadCtx& ctx, std::uint64_t step) {
+                  if (step == 0) *seen = ctx.wall_now;
+                  if (step < 2) return nk::Action::compute(sim::micros(50));
+                  return nk::Action::exit();
+                });
+          });
+      ASSERT_EQ(members.size(), 3u) << "round " << round << " group " << k;
+      groups.push_back(std::move(g));
+    }
+    // The auto-placed stream: short-lived RT threads whose arrivals preempt
+    // spinning members.
+    for (int a = 0; a < 3; ++a) {
+      sys.spawn_auto("a" + std::to_string(round) + "." + std::to_string(a),
+                     finite_worker(20, sim::micros(20)), auto_c);
+      sys.run_for(sim::micros(400));
+      for (std::uint32_t c = 0; c < 6; ++c) {
+        max_queue = std::max(max_queue, sys.sched(c).nonrt_count());
+      }
+    }
+  }
+  sys.run_for(sim::millis(200));
+
+  // Bound: every member's first arrival within 5 ms of its group's spawn
+  // (phase 1 ms + period 1 ms + admission and queueing).  Measured: within
+  // 1.5 ms here; without the exclusion a member waits out a 100 ms quantum.
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    for (const auto& seen : groups[i].first_run) {
+      ASSERT_GE(*seen, 0) << "group " << i << " never admitted";
+      EXPECT_LE(*seen - groups[i].at, sim::millis(5)) << "group " << i;
+    }
+  }
+  EXPECT_LE(max_queue, 4u);
+  for (std::uint32_t c = 0; c < 6; ++c) {
+    EXPECT_EQ(sys.groups().admitting()[c], 0u) << "cpu " << c;
+    EXPECT_EQ(sys.sched(c).stats().spin_rotations, 0u) << "cpu " << c;
+  }
+  EXPECT_EQ(sys.auditor().total_violations(), 0u);
+}
+
+TEST(GroupConvoy, ChooseGroupSkipsCpusWithAdmissionInFlight) {
+  System sys(placed(6, 1));
+  sys.boot();
+  const auto c = rt::Constraints::periodic(sim::millis(1), sim::millis(1),
+                                           sim::micros(100));
+  const auto first = sys.spawn_group_auto(
+      "first", 3, c, [](std::uint32_t) { return busy(); });
+  ASSERT_EQ(first.size(), 3u);
+  for (nk::Thread* t : first) {
+    EXPECT_EQ(sys.groups().admitting()[t->cpu], 1u);
+  }
+  // Spawned at the same instant, the second group gets the other three
+  // CPUs (the interrupt-laden one last)...
+  const auto second = sys.spawn_group_auto(
+      "second", 3, c, [](std::uint32_t) { return busy(); });
+  ASSERT_EQ(second.size(), 3u);
+  std::set<std::uint32_t> cpus;
+  for (nk::Thread* t : first) cpus.insert(t->cpu);
+  for (nk::Thread* t : second) cpus.insert(t->cpu);
+  EXPECT_EQ(cpus.size(), 6u);
+  // ...and a third finds no free CPU: the existing "not enough CPUs" result.
+  EXPECT_TRUE(sys.spawn_group_auto("third", 1, c, [](std::uint32_t) {
+                   return busy();
+                 }).empty());
+  EXPECT_EQ(sys.groups().find("third"), nullptr);
+
+  // Once both protocols finish, every CPU is free for groups again.
+  sys.run_for(sim::millis(10));
+  for (std::uint32_t cpu = 0; cpu < 6; ++cpu) {
+    EXPECT_EQ(sys.groups().admitting()[cpu], 0u) << "cpu " << cpu;
+  }
+  EXPECT_EQ(sys.spawn_group_auto("third", 1, c, [](std::uint32_t) {
+              return busy();
+            }).size(), 1u);
+}
+
+/// Test-only member that runs the group protocol but abandons it (exits)
+/// once election is done, destroying the protocol and the ticket it holds.
+class QuitterBehavior final : public nk::Behavior {
+ public:
+  explicit QuitterBehavior(std::unique_ptr<grp::GroupAdmitThenBehavior> inner)
+      : inner_(std::move(inner)) {}
+  nk::Action next(nk::ThreadCtx& ctx) override {
+    if (inner_ == nullptr) return nk::Action::exit();
+    if (inner_->protocol().timing().election_done >= 0) {
+      inner_.reset();
+      return nk::Action::exit();
+    }
+    return inner_->next(ctx);
+  }
+
+ private:
+  std::unique_ptr<grp::GroupAdmitThenBehavior> inner_;
+};
+
+TEST(GroupConvoy, AdmittingCountReleasedExactlyOnce) {
+  const auto zero_everywhere = [](System& sys) {
+    for (std::uint32_t c = 0; c < sys.kernel().num_cpus(); ++c) {
+      if (sys.groups().admitting()[c] != 0) return false;
+    }
+    return true;
+  };
+  const auto behavior_of = [](const nk::Thread* t) {
+    return dynamic_cast<grp::GroupAdmitThenBehavior*>(t->behavior.get());
+  };
+
+  {  // Success: released when the commit completes, never again.
+    System sys(placed(6, 1));
+    sys.boot();
+    const auto members = sys.spawn_group_auto(
+        "ok", 3,
+        rt::Constraints::periodic(sim::millis(1), sim::millis(1),
+                                  sim::micros(100)),
+        [](std::uint32_t) { return finite_worker(3, sim::micros(50)); });
+    ASSERT_EQ(members.size(), 3u);
+    sys.run_for(sim::millis(3));
+    for (nk::Thread* t : members) {
+      ASSERT_NE(behavior_of(t), nullptr);
+      EXPECT_TRUE(behavior_of(t)->protocol().succeeded());
+    }
+    EXPECT_TRUE(zero_everywhere(sys));
+    // The members exit; recycling their TCBs destroys the finished
+    // protocols without touching the counts again.
+    sys.run_for(sim::millis(10));
+    for (int i = 0; i < 3; ++i) sys.spawn("reuse" + std::to_string(i), busy(), 1);
+    EXPECT_GE(sys.kernel().pool_reuses(), 3u);
+    EXPECT_TRUE(zero_everywhere(sys));
+  }
+  {  // Rejected admission: released at the failure barrier's departure.
+    System::Options o = placed(6, 1);
+    o.sched.min_slice = sim::micros(10);  // the 5 us slice below is too fine
+    System sys(o);
+    sys.boot();
+    const auto members = sys.spawn_group_auto(
+        "rejected", 3,
+        rt::Constraints::periodic(sim::millis(1), sim::micros(100),
+                                  sim::micros(5)),
+        [](std::uint32_t) { return busy(); });
+    ASSERT_EQ(members.size(), 3u);
+    sys.run_for(sim::millis(3));
+    for (nk::Thread* t : members) {
+      ASSERT_NE(behavior_of(t), nullptr);
+      EXPECT_TRUE(behavior_of(t)->protocol().done());
+      EXPECT_FALSE(behavior_of(t)->protocol().succeeded());
+    }
+    EXPECT_TRUE(zero_everywhere(sys));
+  }
+  {  // Exit mid-protocol: the destroyed protocol gives its ticket back.
+    System sys(placed(6, 1));
+    sys.boot();
+    grp::ThreadGroup* g = sys.groups().create("quitters", 2);
+    const auto c = rt::Constraints::periodic(sim::millis(1), sim::millis(1),
+                                             sim::micros(100));
+    for (std::uint32_t cpu : {2u, 3u}) {
+      auto member = std::make_unique<grp::GroupAdmitThenBehavior>(
+          *g, c, busy(), /*join_first=*/true);
+      member->protocol_mutable().hold(sys.groups().hold_admitting(cpu));
+      sys.spawn("q" + std::to_string(cpu),
+                std::make_unique<QuitterBehavior>(std::move(member)), cpu);
+    }
+    EXPECT_EQ(sys.groups().admitting()[2], 1u);
+    EXPECT_EQ(sys.groups().admitting()[3], 1u);
+    sys.run_for(sim::millis(2));
+    EXPECT_TRUE(zero_everywhere(sys));
+    for (int i = 0; i < 2; ++i) sys.spawn("reuse" + std::to_string(i), busy(), 1);
+    EXPECT_TRUE(zero_everywhere(sys));
+  }
 }
 
 // ---------- overflow spawn + churn ----------

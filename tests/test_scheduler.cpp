@@ -4,6 +4,10 @@
 // lightweight tasks, work stealing, and the lazy-EDF variant.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "nautilus/sync.hpp"
+#include "rt/report.hpp"
 #include "rt/system.hpp"
 
 namespace hrt {
@@ -338,6 +342,44 @@ TEST(Aperiodic, RoundRobinSharesEqualPriority) {
   EXPECT_GT(ratio, 0.8);
   EXPECT_LT(ratio, 1.25);
   EXPECT_GT(sys.sched(1).stats().rr_rotations, 20u);
+}
+
+// A thread spinning on a flag nobody sets keeps the CPU for its whole
+// aperiodic quantum; each quantum-expiry rotation away from it is counted.
+TEST(Aperiodic, SpinRotationsCountQuantaLostSpinning) {
+  System::Options o = quiet();
+  o.sched.aperiodic_quantum = sim::millis(1);
+  System sys(std::move(o));
+  sys.boot();
+  nk::WaitFlag flag(sys.kernel());
+  sys.spawn("spinner",
+            std::make_unique<nk::SequenceBehavior>(
+                std::vector<nk::Action>{nk::Action::spin_until(&flag)}),
+            1);
+  sys.spawn("hog", std::make_unique<nk::BusyLoopBehavior>(sim::micros(100)),
+            1);
+  sys.spawn("a", std::make_unique<nk::BusyLoopBehavior>(sim::micros(100)), 2);
+  sys.spawn("b", std::make_unique<nk::BusyLoopBehavior>(sim::micros(100)), 2);
+  sys.run_for(sim::millis(20));
+
+  const auto& spin_cpu = sys.sched(1).stats();
+  const auto& busy_cpu = sys.sched(2).stats();
+  // The spinner and the hog alternate quanta; only the spinner's count.
+  EXPECT_GE(spin_cpu.spin_rotations, 8u);
+  EXPECT_LE(spin_cpu.spin_rotations, (spin_cpu.rr_rotations + 1) / 2);
+  EXPECT_GT(busy_cpu.rr_rotations, 10u);
+  EXPECT_EQ(busy_cpu.spin_rotations, 0u);
+
+  std::ostringstream os;
+  rt::print_cpu_report(sys, os);
+  EXPECT_NE(os.str().find("spin-rot"), std::string::npos);
+
+  // Once the flag is set the spinner finishes and nothing more is counted.
+  const std::uint64_t before = spin_cpu.spin_rotations;
+  flag.set();
+  sys.run_for(sim::millis(10));
+  EXPECT_EQ(sys.sched(1).stats().spin_rotations, before);
+  EXPECT_GT(sys.sched(1).stats().rr_rotations, spin_cpu.rr_rotations - 1);
 }
 
 // ---------- Lightweight tasks ----------
